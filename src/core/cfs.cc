@@ -1,5 +1,7 @@
 #include "src/core/cfs.h"
 
+#include <unordered_map>
+
 #include "src/common/logging.h"
 #include "src/core/gc.h"
 
@@ -199,23 +201,21 @@ void Cfs::BroadcastInvalidation(const CacheInvalidation& inv) {
   // back to zero. An engine registered after the snapshot misses this
   // invalidation, which is safe: it was just constructed and its cache is
   // empty.
-  std::vector<CfsEngine*> snapshot;
+  std::vector<NodeId> dests;
+  std::unordered_map<NodeId, CfsEngine*> by_node;
   {
     MutexLock lock(engines_mu_);
     if (engines_.empty()) return;
-    snapshot = engines_;
+    dests.reserve(engines_.size());
+    by_node.reserve(engines_.size());
+    for (CfsEngine* engine : engines_) {
+      dests.push_back(engine->self());
+      by_node.emplace(engine->self(), engine);
+    }
     active_broadcasts_++;
   }
-  std::vector<NodeId> dests;
-  dests.reserve(snapshot.size());
-  for (CfsEngine* engine : snapshot) dests.push_back(engine->self());
   net_.Multicast(renamer_->CoordinatorNetId(), dests, [&](NodeId dest) {
-    for (CfsEngine* engine : snapshot) {
-      if (engine->self() == dest) {
-        engine->ApplyInvalidation(inv);
-        break;
-      }
-    }
+    by_node.at(dest)->ApplyInvalidation(inv);
   });
   {
     MutexLock lock(engines_mu_);

@@ -119,9 +119,10 @@ class Cfs {
   void UnregisterEngine(CfsEngine* engine);
   // Delivers `inv` to every registered engine as one SimNet multicast from
   // the Renamer coordinator (synchronous, on the renaming caller's
-  // thread). The fan-out runs on a snapshot with engines_mu_ *released*
-  // (pruned critical-section scope: no lock across RPCs); engines are kept
-  // alive by an active-broadcast refcount that UnregisterEngine waits on.
+  // thread). The fan-out runs on a snapshot, indexed by NodeId, with
+  // engines_mu_ *released* (pruned critical-section scope: no lock across
+  // RPCs); engines are kept alive by an active-broadcast refcount that
+  // UnregisterEngine waits on.
   void BroadcastInvalidation(const CacheInvalidation& inv);
 
  private:
@@ -189,8 +190,9 @@ class CfsEngine : public MetadataClient {
   // Drops `path` and every cached descendant (a directory rename moves the
   // whole subtree, so exact-path invalidation is not enough).
   void InvalidateCache(const std::string& path);
-  // Applies a Renamer post-commit broadcast: drops the moved paths (subtrees
-  // for directory moves) and adopts both parents' freshly bumped epochs.
+  // Applies a Renamer post-commit broadcast: adopts both parents' freshly
+  // bumped epochs (as its own mutation when this engine issued the rename),
+  // then drops the moved paths (subtrees for directory moves).
   void ApplyInvalidation(const CacheInvalidation& inv);
   const DentryCache& dentry_cache() const { return cache_; }
 
@@ -212,6 +214,13 @@ class CfsEngine : public MetadataClient {
   // Runs a lock acquire/release RPC under a kLockWait trace span (the
   // paper's "lock phase": the RPC round trips plus in-queue blocking).
   Status LockPhaseCall(NodeId service, const std::function<Status()>& fn);
+  // Releases `txn`'s row locks on `shard` in one lock-phase RPC. When
+  // `epoch_dir` is set, the same round first reads that directory's epoch
+  // and returns it (0 otherwise): read after the caller's commit applied,
+  // it is the value to hand to DentryCache::ObserveOwnEpoch, which only
+  // fast-forwards if no other bump came in between.
+  uint64_t UnlockRows(TafDbShard* shard, TxnId txn,
+                      InodeId epoch_dir = kInvalidInode);
 
   // One dentry read from TafDB (1 RPC). The parent's mutation epoch is
   // piggybacked on the same round and written to `*observed_epoch` (when
@@ -255,10 +264,6 @@ class CfsEngine : public MetadataClient {
   void CacheNegative(const std::string& path, InodeId parent,
                      uint64_t epoch);
   void CacheErase(const std::string& path);
-  // Bumps `dir`'s mutation epoch on its TafDB shard after a local mutation
-  // and adopts the new value (piggybacked on the mutation round — no extra
-  // RPC is charged).
-  void BumpDirEpoch(InodeId dir);
 
   Cfs* fs_;
   NodeId self_;

@@ -5,9 +5,10 @@
 //   unlink : delete_with_update -> async FileStore delete
 //   mkdir  : attr record insert on the new dir's shard -> insert_with_update
 //   rmdir  : emptiness-checked attr retire -> delete_with_update
-//   rename : intra-directory files take the fast path
-//            (insert_and_delete_with_update); everything else goes to the
-//            Renamer coordinator.
+//   rename : intra-directory files take the fast path (one
+//            insert_and_delete_with_update, which also replaces any file
+//            at the destination); everything else goes to the Renamer
+//            coordinator.
 // The two-tier orders are the deterministic ones of Figure 7: creation
 // writes the leaf attribute first and links last; deletion unlinks first —
 // crashes leave only orphaned attributes for the GC.
@@ -110,22 +111,24 @@ void CfsEngine::CacheNegative(const std::string& path, InodeId parent,
 
 void CfsEngine::CacheErase(const std::string& path) { cache_.Erase(path); }
 
-void CfsEngine::BumpDirEpoch(InodeId dir) {
-  // Runs on the shard the mutation just committed to; the bump rides the
-  // same round, so no extra RPC is charged. Adopting the returned value
-  // keeps our own cached entries under `dir` valid (their tags are updated
-  // on the next fill; existing tags now mismatch, which is exactly right —
-  // we just changed the directory).
-  uint64_t epoch = fs_->tafdb()->ShardFor(dir)->BumpDirEpoch(dir);
-  cache_.ObserveDirEpoch(dir, epoch);
-}
-
 void CfsEngine::InvalidateCache(const std::string& path) {
   cache_.ErasePrefix(path);
 }
 
 void CfsEngine::ApplyInvalidation(const CacheInvalidation& inv) {
   trace::Instant(trace::Category::kCache, "invalidate");
+  // Epochs first, then the erases: a fill of a moved path that raced the
+  // rename is either refused by the new view or removed below.
+  auto observe = [&](InodeId dir, uint64_t epoch) {
+    if (dir == kInvalidInode) return;
+    if (inv.origin == self_) {
+      cache_.ObserveOwnEpoch(dir, epoch);
+    } else {
+      cache_.ObserveDirEpoch(dir, epoch);
+    }
+  };
+  observe(inv.src_parent, inv.src_parent_epoch);
+  observe(inv.dst_parent, inv.dst_parent_epoch);
   if (!inv.src_path.empty()) {
     if (inv.subtree) {
       cache_.ErasePrefix(inv.src_path);
@@ -139,12 +142,6 @@ void CfsEngine::ApplyInvalidation(const CacheInvalidation& inv) {
     } else {
       cache_.Erase(inv.dst_path);
     }
-  }
-  if (inv.src_parent != kInvalidInode) {
-    cache_.ObserveDirEpoch(inv.src_parent, inv.src_parent_epoch);
-  }
-  if (inv.dst_parent != kInvalidInode) {
-    cache_.ObserveDirEpoch(inv.dst_parent, inv.dst_parent_epoch);
   }
 }
 
@@ -184,6 +181,17 @@ Status CfsEngine::LockPhaseCall(NodeId service,
                                 const std::function<Status()>& fn) {
   TraceSpan span(Phase::kLockWait);
   return fs_->net()->Call(self_, service, fn);
+}
+
+uint64_t CfsEngine::UnlockRows(TafDbShard* shard, TxnId txn,
+                               InodeId epoch_dir) {
+  uint64_t epoch = 0;
+  (void)LockPhaseCall(shard->ServiceNetId(), [&]() -> Status {
+    if (epoch_dir != kInvalidInode) epoch = shard->DirEpoch(epoch_dir);
+    shard->locks()->UnlockAll(txn);
+    return Status::Ok();
+  });
+  return epoch;
 }
 
 PrimitiveResult CfsEngine::ExecOnShard(InodeId kid, const PrimitiveOp& op) {
@@ -409,12 +417,7 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
                                      LockMode::kExclusive, kLockTimeoutUs);
   });
   if (!lock_st.ok()) return lock_st;
-  auto unlock = [&] {
-    (void)LockPhaseCall(shard_p->ServiceNetId(), [&]() -> Status {
-      shard_p->locks()->UnlockAll(txn);
-      return Status::Ok();
-    });
-  };
+  auto unlock = [&] { UnlockRows(shard_p, txn); };
 
   auto parent_attr = ReadTafAttr(parent->parent);
   if (!parent_attr.ok()) {
@@ -538,12 +541,7 @@ Status CfsEngine::Mkdir(const std::string& path, uint32_t mode) {
                                      LockMode::kExclusive, kLockTimeoutUs);
   });
   if (!lock_st.ok()) return lock_st;
-  auto unlock = [&] {
-    (void)LockPhaseCall(shard_p->ServiceNetId(), [&]() -> Status {
-      shard_p->locks()->UnlockAll(txn);
-      return Status::Ok();
-    });
-  };
+  auto unlock = [&] { UnlockRows(shard_p, txn); };
 
   auto parent_attr = ReadTafAttr(parent->parent);
   if (!parent_attr.ok()) {
@@ -625,9 +623,10 @@ Status CfsEngine::Rmdir(const std::string& path) {
     dec.lww.mtime = ts;
     dec.lww.ts = ts;
     auto op = PrimitiveOp::DeleteWithUpdate(del_entry, dec);
+    op.epoch_dir = resolved->parent;
     PrimitiveResult r2 = ExecOnShard(resolved->parent, op);
+    if (r2.status.ok()) cache_.ObserveOwnEpoch(resolved->parent, r2.epoch);
     CacheErase(path);
-    if (r2.status.ok()) BumpDirEpoch(resolved->parent);
     if (!r2.status.ok() && !r1.deleted_records.empty()) {
       // The dentry moved under us (a concurrent rename won): the directory
       // is alive somewhere else, so restore the exact attribute image step
@@ -669,12 +668,7 @@ Status CfsEngine::Rmdir(const std::string& path) {
             [](const LockPlan& a, const LockPlan& b) { return a.index < b.index; });
   std::vector<TafDbShard*> locked;
   auto unlock_all = [&] {
-    for (TafDbShard* s : locked) {
-      (void)LockPhaseCall(s->ServiceNetId(), [&]() -> Status {
-        s->locks()->UnlockAll(txn);
-        return Status::Ok();
-      });
-    }
+    for (TafDbShard* s : locked) UnlockRows(s, txn);
   };
   for (auto& plan : plans) {
     Status st = LockPhaseCall(plan.shard->ServiceNetId(), [&] {
@@ -724,6 +718,7 @@ Status CfsEngine::Rmdir(const std::string& path) {
     del.hint_id = resolved->id;
     del.expect_attr_cleanup = true;
     op.deletes.push_back(del);
+    op.epoch_dir = resolved->parent;
     InodeRecord parent_image = std::move(parent_attr).value();
     parent_image.children -= 1;
     parent_image.links -= 1;
@@ -738,9 +733,10 @@ Status CfsEngine::Rmdir(const std::string& path) {
     op.deletes.push_back(del);
   }
   Status commit_st = CommitWriteSets(std::move(ops), txn);
-  unlock_all();
+  uint64_t epoch = UnlockRows(shard_p, txn, resolved->parent);
+  if (shard_d != shard_p) UnlockRows(shard_d, txn);
+  if (commit_st.ok()) cache_.ObserveOwnEpoch(resolved->parent, epoch);
   CacheErase(path);
-  if (commit_st.ok()) BumpDirEpoch(resolved->parent);
   return commit_st;
 }
 
@@ -772,10 +768,13 @@ Status CfsEngine::Unlink(const std::string& path) {
     dec.lww.mtime = ts;
     dec.lww.ts = ts;
     auto op = PrimitiveOp::DeleteWithUpdate(del, dec);
+    op.epoch_dir = resolved->parent;
     PrimitiveResult result = ExecOnShard(resolved->parent, op);
+    if (result.status.ok()) {
+      cache_.ObserveOwnEpoch(resolved->parent, result.epoch);
+    }
     CacheErase(path);
     if (!result.status.ok()) return result.status;
-    BumpDirEpoch(resolved->parent);
     DeleteFileAttrAsync(resolved->id);
     return Status::Ok();
   }
@@ -791,12 +790,7 @@ Status CfsEngine::Unlink(const std::string& path) {
                                      LockMode::kExclusive, kLockTimeoutUs);
   });
   if (!lock_st.ok()) return lock_st;
-  auto unlock = [&] {
-    (void)LockPhaseCall(shard_p->ServiceNetId(), [&]() -> Status {
-      shard_p->locks()->UnlockAll(txn);
-      return Status::Ok();
-    });
-  };
+  auto unlock = [&] { UnlockRows(shard_p, txn); };
 
   auto entry = ReadEntry(resolved->parent, resolved->name);
   if (!entry.ok()) {
@@ -821,6 +815,7 @@ Status CfsEngine::Unlink(const std::string& path) {
   del.hint_id = entry->id;
   del.expect_attr_cleanup = true;
   nsop.deletes.push_back(del);
+  nsop.epoch_dir = resolved->parent;
   InodeRecord parent_image = std::move(parent_attr).value();
   parent_image.children -= 1;
   parent_image.mtime = ts;
@@ -855,9 +850,9 @@ Status CfsEngine::Unlink(const std::string& path) {
     ops[fs_->tafdb()->ShardIndexFor(entry->id)].deletes.push_back(del_attr);
     commit_st = CommitWriteSets(std::move(ops), txn);
   }
-  unlock();
+  uint64_t epoch = UnlockRows(shard_p, txn, resolved->parent);
+  if (commit_st.ok()) cache_.ObserveOwnEpoch(resolved->parent, epoch);
   CacheErase(path);
-  if (commit_st.ok()) BumpDirEpoch(resolved->parent);
   return commit_st;
 }
 
@@ -925,16 +920,19 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
     return fs_->net()->Call(self_, node->ServiceNetId(),
                             [&] { return node->SetAttr(resolved->id, update); });
   }
+  // Directory attributes are cached context for resolves under it: the
+  // update bumps the directory's epoch so other engines revalidate.
+  InodeId epoch_dir =
+      resolved->type == InodeType::kDirectory ? resolved->id : kInvalidInode;
   if (fs_->options().primitives) {
     PrimitiveOp op;
     op.updates.push_back(update);
-    Status st = ExecOnShard(resolved->id, op).status;
-    if (st.ok() && resolved->type == InodeType::kDirectory) {
-      // Directory attributes are cached context for resolves under it;
-      // publish the change so other engines revalidate.
-      BumpDirEpoch(resolved->id);
+    op.epoch_dir = epoch_dir;
+    PrimitiveResult result = ExecOnShard(resolved->id, op);
+    if (result.status.ok() && epoch_dir != kInvalidInode) {
+      cache_.ObserveOwnEpoch(epoch_dir, result.epoch);
     }
-    return st;
+    return result.status;
   }
 
   // Conventional path: lock, read, write image.
@@ -953,16 +951,14 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
     ApplyUpdateToRecord(update, 0, &image);
     PrimitiveOp op;
     op.puts.push_back(image);
+    op.epoch_dir = epoch_dir;
     commit_st = fs_->net()->Call(self_, shard->ServiceNetId(), [&] {
       return shard->CommitLocal(op).status;
     });
   }
-  (void)LockPhaseCall(shard->ServiceNetId(), [&]() -> Status {
-    shard->locks()->UnlockAll(txn);
-    return Status::Ok();
-  });
-  if (commit_st.ok() && resolved->type == InodeType::kDirectory) {
-    BumpDirEpoch(resolved->id);
+  uint64_t epoch = UnlockRows(shard, txn, epoch_dir);
+  if (commit_st.ok() && epoch_dir != kInvalidInode) {
+    cache_.ObserveOwnEpoch(epoch_dir, epoch);
   }
   return commit_st;
 }
@@ -1002,31 +998,21 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   bool is_file = src->type != InodeType::kDirectory;
 
   if (fs_->options().primitives && intra_dir && is_file) {
-    // Fast path (§4.3, Figure 8c): one single-shard primitive; the client's
-    // cached lookups identified the case.
+    // Fast path (§4.3, Figure 8c): one single-shard primitive and nothing
+    // else; the client's cached lookups identified the case.
     uint64_t ts = NowTs();
-    // Know the replaced file's id for the post-commit attribute cleanup.
-    auto dst_entry = ReadEntry(dst_parent->parent, dst_parent->name);
-    InodeId replaced =
-        dst_entry.ok() && dst_entry->type != InodeType::kDirectory
-            ? dst_entry->id
-            : kInvalidInode;
-
     InodeRecord moved = InodeRecord::MakeIdRecord(
         dst_parent->parent, dst_parent->name, src->id, src->type);
     DeleteSpec del_a;
     del_a.key = InodeKey::IdRecord(src->parent, src->name);
     del_a.forbid_directory = true;
     del_a.hint_id = src->id;
+    // Replaces whatever non-directory sits at `to`, inside the primitive:
+    // the deleted record names the inode to unref, so no pre-read is needed.
     DeleteSpec del_b;
     del_b.key = InodeKey::IdRecord(dst_parent->parent, dst_parent->name);
     del_b.ifexist = true;
     del_b.forbid_directory = true;
-    // Guard the replacement by the id observed at lookup: if the
-    // destination changed concurrently, the delete is skipped, the insert
-    // collides, and the rename fails cleanly instead of unref'ing a
-    // still-linked inode.
-    del_b.hint_id = replaced;
     UpdateSpec upd;
     upd.key = InodeKey::AttrRecord(dst_parent->parent);
     upd.children_delta_auto = true;
@@ -1034,15 +1020,17 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
     upd.lww.ts = ts;
     auto op = PrimitiveOp::InsertAndDeleteWithUpdate(moved, {del_a, del_b},
                                                      upd, {});
+    op.epoch_dir = src->parent;
     PrimitiveResult result = ExecOnShard(src->parent, op);
+    if (result.status.ok()) cache_.ObserveOwnEpoch(src->parent, result.epoch);
     CacheErase(from);
-    CacheErase(to);
-    if (!result.status.ok()) return result.status;
-    // Intra-directory: one parent, one epoch bump. Other engines' cached
-    // entries for `from`/`to` go stale on their next epoch refresh.
-    BumpDirEpoch(src->parent);
-    if (replaced != kInvalidInode && result.deleted == 2) {
-      DeleteFileAttrAsync(replaced);
+    if (!result.status.ok()) {
+      CacheErase(to);
+      return result.status;
+    }
+    CachePut(to, src->parent, src->id, src->type, result.epoch);
+    if (result.deleted_records.size() == 2) {
+      DeleteFileAttrAsync(result.deleted_records[1].id);
     }
     return Status::Ok();
   }
@@ -1056,6 +1044,7 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   req.dst_name = dst_parent->name;
   req.src_path = from;
   req.dst_path = to;
+  req.origin = self_;
   Renamer* renamer = fs_->renamer();
   Status st = fs_->net()->Call(self_, renamer->CoordinatorNetId(),
                                [&] { return renamer->Rename(req); });

@@ -78,18 +78,31 @@ bool DentryCache::ViewOf(InodeId dir, EpochView* out) const {
 }
 
 void DentryCache::ObserveDirEpoch(InodeId dir, uint64_t epoch) {
+  Observe(dir, epoch, /*own=*/false);
+}
+
+void DentryCache::ObserveOwnEpoch(InodeId dir, uint64_t epoch) {
+  Observe(dir, epoch, /*own=*/true);
+}
+
+void DentryCache::Observe(InodeId dir, uint64_t epoch, bool own) {
   if (options_.capacity == 0) return;
   int64_t now_us = clock_->NowMicros();
   EpochShard& shard = EpochShardFor(dir);
   MutexLock lock(shard.mu);
   CFS_SHARED_WRITE(shard.views, shard.mu);
-  EpochView& view = shard.views[dir];
-  // A lower epoch is a reordered observation — keep the newer view but
-  // still refresh the timestamp (the shard was reachable just now). The
-  // exception is a reset to 0 (shard restart): adopt it, so tagged entries
-  // mismatch and conservatively revalidate.
-  if (epoch >= view.epoch || epoch == 0) {
+  auto [it, inserted] = shard.views.try_emplace(dir);
+  EpochView& view = it->second;
+  if (own && !inserted && epoch == view.epoch + 1) {
+    // Our mutation is the only change since the view: keep valid_from.
     view.epoch = epoch;
+  } else if (inserted || epoch > view.epoch || epoch == 0) {
+    // Anything else that changed the directory invalidates every tag. A
+    // lower epoch is a reordered observation and only refreshes the
+    // timestamp below (the shard was reachable just now); a reset to 0 is
+    // adopted, so tagged entries conservatively revalidate.
+    view.epoch = epoch;
+    view.valid_from = epoch;
   }
   view.observed_us = now_us;
 }
@@ -113,10 +126,11 @@ DentryCache::LookupResult DentryCache::LookupRound(const std::string& path,
   auto it = shard.index.find(path);
   if (it == shard.index.end()) return result;
   const Entry& entry = it->second->second;
-  if (entry.parent != parent || !has_view || entry.epoch != view.epoch ||
+  if (entry.parent != parent || !has_view || entry.epoch < view.valid_from ||
+      entry.epoch > view.epoch ||
       (entry.negative && now_us >= entry.negative_expire_us)) {
-    // Re-parented, never-validated, epoch-mismatched, or an expired
-    // ENOENT: drop it and miss.
+    // Re-parented, never-validated, outside the valid epoch range, or an
+    // expired ENOENT: drop it and miss.
     shard.lru.erase(it->second);
     shard.index.erase(it);
     *stale = true;
@@ -208,6 +222,18 @@ void DentryCache::PutEntry(const std::string& path, Entry entry) {
   bool evicted = false;
   EntryShard& shard = ShardFor(path);
   {
+    // Held across the insert so the view check is atomic with it: an
+    // ObserveOwnEpoch either precedes the check (and the fill is refused)
+    // or follows the insert (and the caller's erase removes the entry).
+    EpochShard& epochs = EpochShardFor(entry.parent);
+    MutexLock epoch_lock(epochs.mu);
+    CFS_SHARED_READ(epochs.views, epochs.mu);
+    auto view = epochs.views.find(entry.parent);
+    if (view != epochs.views.end() && entry.epoch < view->second.epoch) {
+      stats_.stale_drops.fetch_add(1, std::memory_order_relaxed);
+      Counters().stale->Add();
+      return;
+    }
     MutexLock lock(shard.mu);
     auto it = shard.index.find(path);
     if (it != shard.index.end()) {

@@ -9,13 +9,19 @@
 //     lookups of missing names; negative entries expire after a TTL, which
 //     bounds how long a create by another client can stay invisible.
 //   - Per-entry epoch tags: every entry records the parent directory's
-//     mutation epoch (a counter kept on the directory's TafDB shard,
-//     TafDbShard::DirEpoch) observed in the same round as the data it
+//     mutation epoch (replicated state of the directory's TafDB shard,
+//     TafDbShardSm::DirEpoch) observed in the same round as the data it
 //     caches — not the view at fill time, which a concurrent invalidation
 //     broadcast could have refreshed past the data. A lookup is a hit
-//     only if the tag matches the engine's current view of that epoch — a
+//     only if the tag lies in the engine's current view of that epoch — a
 //     directory mutation anywhere in the cluster bumps the epoch, so stale
 //     dentries are detected on first touch after the view refreshes.
+//   - Own mutations fast-forward: when the epoch an engine's own mutation
+//     returns is exactly its view + 1, nothing else changed the directory,
+//     so ObserveOwnEpoch advances the view without invalidating the
+//     entries already cached (the engine erases the names it mutated).
+//     Fills tagged below the view are refused, which keeps data read
+//     before the mutation out of the cache.
 //   - Epoch views age: a view older than epoch_ttl_ms yields
 //     kNeedsValidation, telling the engine to refresh the epoch with one
 //     cheap RPC before trusting the hit. The TTL is therefore the staleness
@@ -111,9 +117,10 @@ class DentryCache {
   // being cached (e.g. piggybacked on the dentry-read RPC), never the
   // current view: a view refreshed by a concurrent invalidation broadcast
   // between the read and the fill would tag pre-mutation data as fresh.
-  // An epoch older than the view only makes the entry conservatively
-  // stale. Fills from callers that never observed the epoch pass 0 and
-  // are treated as stale on first lookup.
+  // A fill tagged below the view is refused and counted as a stale drop
+  // (the view check and the insert are atomic, so it cannot slip in
+  // behind an ObserveOwnEpoch). Fills under a parent whose epoch was never
+  // observed are stored but treated as stale on first lookup.
   void PutPositive(const std::string& path, InodeId parent, InodeId id,
                    InodeType type, uint64_t epoch);
   void PutNegative(const std::string& path, InodeId parent, uint64_t epoch);
@@ -125,10 +132,17 @@ class DentryCache {
   void ErasePrefix(const std::string& path);
 
   // Records a fresh observation of `dir`'s mutation epoch (from a read
-  // piggyback, an own mutation, or an invalidation broadcast). Regressing
-  // epochs are ignored except the 0 reset after a shard restart, which
-  // conservatively invalidates.
+  // piggyback, a revalidation or an invalidation broadcast). A newer epoch
+  // invalidates every entry tagged below it. Regressing epochs are ignored
+  // except a reset to 0, which conservatively invalidates.
   void ObserveDirEpoch(InodeId dir, uint64_t epoch);
+  // Records the epoch this engine's own mutation of `dir` returned. If it
+  // is exactly the view + 1, no other mutation happened in between: the
+  // view fast-forwards and entries already cached stay valid, while fills
+  // tagged below the new epoch are refused from then on. Any other value
+  // is handled like ObserveDirEpoch. Callers observe first, then erase the
+  // names they mutated.
+  void ObserveOwnEpoch(InodeId dir, uint64_t epoch);
   // The engine's current view of `dir`'s epoch (0 if never observed).
   uint64_t ObservedDirEpoch(InodeId dir) const;
 
@@ -156,6 +170,9 @@ class DentryCache {
   };
   struct EpochView {
     uint64_t epoch = 0;
+    // Oldest tag still valid: entries tagged in [valid_from, epoch] serve.
+    // Own fast-forwards advance `epoch` alone; any other change moves both.
+    uint64_t valid_from = 0;
     int64_t observed_us = 0;
   };
   struct EpochShard {
@@ -168,6 +185,7 @@ class DentryCache {
   EpochShard& EpochShardFor(InodeId dir) const;
   // Reads the view under the epoch-shard lock; ok=false when unobserved.
   bool ViewOf(InodeId dir, EpochView* out) const;
+  void Observe(InodeId dir, uint64_t epoch, bool own);
   void PutEntry(const std::string& path, Entry entry);
   // One cache consultation, no counters. `view_is_fresh` marks a view
   // refreshed within the same logical lookup (skips the TTL check; cannot

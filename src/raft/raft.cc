@@ -151,7 +151,7 @@ Status RaftNode::Start() {
   durable_index_ = LastIndexLocked();
   commit_index_ = snapshot_index_;
   applied_index_ = snapshot_index_;
-  role_ = RaftRole::kFollower;
+  SetRoleLocked(RaftRole::kFollower);
   leader_hint_ = UINT32_MAX;
   ResetElectionDeadlineLocked();
   running_.store(true);
@@ -170,7 +170,7 @@ void RaftNode::Stop() {
     if (!running_.load()) return;
     running_.store(false);
     replicators_should_run_ = false;
-    role_ = RaftRole::kFollower;
+    SetRoleLocked(RaftRole::kFollower);
     FailPendingLocked(Status::Unavailable("raft node stopped"));
   }
   repl_cv_.NotifyAll();
@@ -197,6 +197,11 @@ void RaftNode::StopReplicators() {
   replicators_.clear();
 }
 
+void RaftNode::SetRoleLocked(RaftRole role) {
+  role_ = role;
+  is_leader_.store(role == RaftRole::kLeader, std::memory_order_release);
+}
+
 void RaftNode::ResetElectionDeadlineLocked() {
   int64_t span =
       options_.election_timeout_max_ms - options_.election_timeout_min_ms;
@@ -216,7 +221,7 @@ void RaftNode::PersistVoteLocked() {
 
 void RaftNode::BecomeFollowerLocked(Term term, bool persist) {
   bool was_leader = role_ == RaftRole::kLeader;
-  role_ = RaftRole::kFollower;
+  SetRoleLocked(RaftRole::kFollower);
   if (term > term_) {
     term_ = term;
     voted_for_ = UINT32_MAX;
@@ -229,7 +234,7 @@ void RaftNode::BecomeFollowerLocked(Term term, bool persist) {
 }
 
 void RaftNode::BecomeLeaderLocked() {
-  role_ = RaftRole::kLeader;
+  SetRoleLocked(RaftRole::kLeader);
   leader_hint_ = id_;
   for (size_t i = 0; i < peers_.size(); i++) {
     next_index_[i] = LastIndexLocked() + 1;
@@ -754,7 +759,7 @@ void RaftNode::StartElection() {
   {
     MutexLock lock(mu_);
     if (!running_.load() || role_ == RaftRole::kLeader) return;
-    role_ = RaftRole::kCandidate;
+    SetRoleLocked(RaftRole::kCandidate);
     term_++;
     voted_for_ = id_;
     PersistVoteLocked();
@@ -787,8 +792,7 @@ void RaftNode::StartElection() {
 }
 
 bool RaftNode::IsLeader() const {
-  MutexLock lock(mu_);
-  return running_.load() && role_ == RaftRole::kLeader;
+  return running_.load() && is_leader_.load(std::memory_order_acquire);
 }
 
 RaftRole RaftNode::role() const {

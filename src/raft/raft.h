@@ -36,6 +36,7 @@
 #ifndef CFS_RAFT_RAFT_H_
 #define CFS_RAFT_RAFT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -237,6 +238,8 @@ class RaftNode {
   };
 
   // --- all Locked methods require mu_ held ---
+  // The only writer of role_: keeps is_leader_ in step.
+  void SetRoleLocked(RaftRole role) REQUIRES(mu_);
   void BecomeFollowerLocked(Term term, bool persist) REQUIRES(mu_);
   void BecomeLeaderLocked() REQUIRES(mu_);
   void ResetElectionDeadlineLocked() REQUIRES(mu_);
@@ -284,6 +287,10 @@ class RaftNode {
   CondVar apply_cv_;
 
   RaftRole role_ GUARDED_BY(mu_) = RaftRole::kFollower;
+  // Mirror of role_ == kLeader for IsLeader(), which every leader lookup
+  // (RaftGroup::Leader) calls on each replica: it must not queue behind a
+  // follower holding mu_ across its WAL fsync in HandleAppendEntries.
+  std::atomic<bool> is_leader_{false};
   Term term_ GUARDED_BY(mu_) = 0;
   ReplicaId voted_for_ GUARDED_BY(mu_) = UINT32_MAX;
   ReplicaId leader_hint_ GUARDED_BY(mu_) = UINT32_MAX;

@@ -221,9 +221,11 @@ Status Renamer::Rename(const RenameRequest& req) {
   //
   //   step A (src shard): delete <src_parent, src_name> guarded by the
   //          observed inode id; parent fanout delta derived from the
-  //          actual deletion (children_delta_auto).
+  //          actual deletion (children_delta_auto); bumps src_parent's
+  //          epoch.
   //   step B (dst shard): delete the observed dst entry (ifexist, hinted),
-  //          insert the new dentry, parent fanout via auto delta.
+  //          insert the new dentry, parent fanout via auto delta; bumps
+  //          dst_parent's epoch.
   //   step C (moved directory): reparent its attribute record.
   //
   // If step B fails (a name appeared at dst concurrently), step A is
@@ -231,6 +233,7 @@ Status Renamer::Rename(const RenameRequest& req) {
   // the outcome equals a crash between the steps and the GC reclaims the
   // attribute — the file is gone, a legal unlink serialization.
   Status commit_status;
+  CacheInvalidation inv;
   {
     // Step A.
     PrimitiveOp src_op;
@@ -245,9 +248,12 @@ Status Renamer::Rename(const RenameRequest& req) {
     dec.lww.ts = ts;
     if (src_is_dir) dec.links_delta = -1;
     src_op.updates.push_back(dec);
+    src_op.epoch_dir = req.src_parent;
     TafDbShard* src_op_shard = tafdb_->ShardFor(req.src_parent);
     commit_status = net_->Call(self, src_op_shard->ServiceNetId(), [&] {
-      return src_op_shard->ExecutePrimitive(src_op).status;
+      PrimitiveResult result = src_op_shard->ExecutePrimitive(src_op);
+      inv.src_parent_epoch = result.epoch;
+      return result.status;
     });
     if (!commit_status.ok() && retired_dst_attr.has_value()) {
       // Step A lost a race: the retired destination directory is still
@@ -281,9 +287,12 @@ Status Renamer::Rename(const RenameRequest& req) {
       // directory whose link it also removes.
       if (src_is_dir && !dst_exists) inc.links_delta = 1;
       dst_op.updates.push_back(inc);
+      dst_op.epoch_dir = req.dst_parent;
       TafDbShard* dst_op_shard = tafdb_->ShardFor(req.dst_parent);
       Status step_b = net_->Call(self, dst_op_shard->ServiceNetId(), [&] {
-        return dst_op_shard->ExecutePrimitive(dst_op).status;
+        PrimitiveResult result = dst_op_shard->ExecutePrimitive(dst_op);
+        inv.dst_parent_epoch = result.epoch;
+        return result.status;
       });
       if (!step_b.ok()) {
         // Compensate the retired destination-directory attribute and step
@@ -357,23 +366,15 @@ Status Renamer::Rename(const RenameRequest& req) {
 
   if (!commit_status.ok()) return commit_status;
 
-  // 7. Post-commit: bump both parents' mutation epochs so client engines
-  //    detect their cached dentries as stale on first touch. The bumps are
-  //    piggybacked on the shard mutations just executed (no extra RPC round
-  //    trips); the epoch lives on the shard owning the directory's entry
-  //    list.
-  CacheInvalidation inv;
+  // 7. Post-commit: name what moved. Steps A and B bumped both parents'
+  //    epochs in apply and returned them, so client engines detect their
+  //    cached dentries as stale on first touch.
   inv.src_path = req.src_path;
   inv.dst_path = req.dst_path;
   inv.subtree = src_is_dir;
   inv.src_parent = req.src_parent;
-  inv.src_parent_epoch =
-      tafdb_->ShardFor(req.src_parent)->BumpDirEpoch(req.src_parent);
   inv.dst_parent = req.dst_parent;
-  inv.dst_parent_epoch =
-      req.dst_parent == req.src_parent
-          ? inv.src_parent_epoch
-          : tafdb_->ShardFor(req.dst_parent)->BumpDirEpoch(req.dst_parent);
+  inv.origin = req.origin;
 
   // 8. Eager cluster-wide invalidation: one synchronous SimNet fan-out to
   //    every client engine before the rename returns. Directory moves drop

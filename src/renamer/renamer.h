@@ -52,12 +52,16 @@ struct RenameRequest {
   // the broadcast then only publishes the parents' new epochs.
   std::string src_path;
   std::string dst_path;
+  // The client engine that issued the rename (kInvalidNode if none); it
+  // receives the broadcast as its own mutation.
+  NodeId origin = kInvalidNode;
 };
 
 // Post-commit cache invalidation, broadcast to every client engine after a
 // normal-path rename: the exact paths that moved (whole subtrees when a
-// directory moved) plus both parents' freshly bumped epochs, so receivers
-// refresh their views instead of waiting out the epoch TTL.
+// directory moved) plus the epochs the rename's primitives left on both
+// parents, so receivers refresh their views instead of waiting out the
+// epoch TTL.
 struct CacheInvalidation {
   std::string src_path;
   std::string dst_path;
@@ -66,6 +70,7 @@ struct CacheInvalidation {
   uint64_t src_parent_epoch = 0;
   InodeId dst_parent = kInvalidInode;
   uint64_t dst_parent_epoch = 0;
+  NodeId origin = kInvalidNode;  // RenameRequest::origin
 };
 
 struct RenamerOptions {

@@ -130,6 +130,7 @@ std::string PrimitiveOp::Encode() const {
     if (u.lww.parent) PutVarint64(&out, *u.lww.parent);
     PutVarint64(&out, u.lww.ts);
   }
+  PutVarint64(&out, epoch_dir);
   return out;
 }
 
@@ -228,6 +229,7 @@ StatusOr<PrimitiveOp> PrimitiveOp::Decode(std::string_view data) {
     if (!dec.GetVarint64(&u.lww.ts)) return fail();
     op.updates.push_back(std::move(u));
   }
+  if (!dec.GetVarint64(&op.epoch_dir)) return fail();
   return op;
 }
 
@@ -240,6 +242,7 @@ std::string PrimitiveResult::Encode() const {
   for (const auto& rec : deleted_records) {
     PutRecord(&out, rec);
   }
+  PutVarint64(&out, epoch);
   return out;
 }
 
@@ -264,6 +267,7 @@ PrimitiveResult PrimitiveResult::Decode(std::string_view data) {
       r.deleted_records.push_back(std::move(rec));
     }
   }
+  (void)dec.GetVarint64(&r.epoch);
   return r;
 }
 

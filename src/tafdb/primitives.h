@@ -108,6 +108,10 @@ struct PrimitiveOp {
   std::vector<InodeRecord> inserts;  // fail kAlreadyExists on existing key
   std::vector<InodeRecord> puts;     // absolute upserts (lock-based txns)
   std::vector<UpdateSpec> updates;
+  // Directory whose mutation epoch (client dentry-cache coherence, DESIGN.md
+  // §8) this op bumps when it applies successfully. The bump happens in the
+  // shard's raft apply, so it is ordered with the mutation on every replica.
+  InodeId epoch_dir = kInvalidInode;
 
   bool empty() const {
     return checks.empty() && deletes.empty() && inserts.empty() &&
@@ -139,6 +143,9 @@ struct PrimitiveResult {
   // operations (rmdir, normal-path rename) use these to restore state
   // exactly when a later step loses a race (compensation).
   std::vector<InodeRecord> deleted_records;
+  // The op's epoch_dir epoch after its bump; 0 when the op names no
+  // epoch_dir or failed.
+  uint64_t epoch = 0;
 
   std::string Encode() const;
   static PrimitiveResult Decode(std::string_view data);

@@ -80,7 +80,7 @@ std::string TafDbShardSm::Apply(LogIndex, std::string_view command) {
   PrimitiveResult result;
   switch (cmd.kind) {
     case ShardCommand::Kind::kPrimitive:
-      result = ExecutePrimitive(cmd.op, &kv_);
+      result = ApplyOp(cmd.op);
       break;
     case ShardCommand::Kind::kPrepare:
       staged_[cmd.txn] = std::move(cmd.op);
@@ -91,7 +91,7 @@ std::string TafDbShardSm::Apply(LogIndex, std::string_view command) {
       if (it == staged_.end()) {
         result.status = Status::NotFound("no staged txn");
       } else {
-        result = ExecutePrimitive(it->second, &kv_);
+        result = ApplyOp(it->second);
         staged_.erase(it);
       }
       break;
@@ -113,6 +113,23 @@ std::string TafDbShardSm::Apply(LogIndex, std::string_view command) {
   return encoded;
 }
 
+PrimitiveResult TafDbShardSm::ApplyOp(const PrimitiveOp& op) {
+  PrimitiveResult result = ExecutePrimitive(op, &kv_);
+  if (result.status.ok() && op.epoch_dir != kInvalidInode) {
+    WriterMutexLock lock(epoch_mu_);
+    CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
+    result.epoch = ++dir_epochs_[op.epoch_dir];
+  }
+  return result;
+}
+
+uint64_t TafDbShardSm::DirEpoch(InodeId dir) const {
+  ReaderMutexLock lock(epoch_mu_);
+  CFS_SHARED_READ(dir_epochs_, epoch_mu_);
+  auto it = dir_epochs_.find(dir);
+  return it == dir_epochs_.end() ? 0 : it->second;
+}
+
 std::string TafDbShardSm::Snapshot() {
   std::string out;
   auto rows = kv_.Scan("", "");
@@ -130,6 +147,13 @@ std::string TafDbShardSm::Snapshot() {
   for (uint64_t id : applied_order_) {
     PutVarint64(&out, id);
     PutLengthPrefixed(&out, applied_requests_[id]);
+  }
+  ReaderMutexLock lock(epoch_mu_);
+  CFS_SHARED_READ(dir_epochs_, epoch_mu_);
+  PutVarint64(&out, dir_epochs_.size());
+  for (const auto& [dir, epoch] : dir_epochs_) {
+    PutVarint64(&out, dir);
+    PutVarint64(&out, epoch);
   }
   return out;
 }
@@ -175,6 +199,18 @@ Status TafDbShardSm::Restore(std::string_view state) {
     }
     applied_requests_.emplace(id, std::move(result));
     applied_order_.push_back(id);
+  }
+  uint64_t epochs;
+  if (!dec.GetVarint64(&epochs)) return Status::Corruption("snapshot epochs");
+  WriterMutexLock lock(epoch_mu_);
+  CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
+  dir_epochs_.clear();
+  for (uint64_t i = 0; i < epochs; i++) {
+    uint64_t dir, epoch;
+    if (!dec.GetVarint64(&dir) || !dec.GetVarint64(&epoch)) {
+      return Status::Corruption("snapshot epochs truncated");
+    }
+    dir_epochs_[dir] = epoch;
   }
   return Status::Ok();
 }
@@ -280,16 +316,7 @@ StatusOr<std::vector<InodeRecord>> TafDbShard::ScanDir(
 }
 
 uint64_t TafDbShard::DirEpoch(InodeId dir) const {
-  ReaderMutexLock lock(epoch_mu_);
-  CFS_SHARED_READ(dir_epochs_, epoch_mu_);
-  auto it = dir_epochs_.find(dir);
-  return it == dir_epochs_.end() ? 0 : it->second;
-}
-
-uint64_t TafDbShard::BumpDirEpoch(InodeId dir) {
-  WriterMutexLock lock(epoch_mu_);
-  CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
-  return ++dir_epochs_[dir];
+  return LeaderSm()->DirEpoch(dir);
 }
 
 PrimitiveResult TafDbShard::CommitLocal(const PrimitiveOp& write_set) {

@@ -57,26 +57,44 @@ struct ShardCommand {
   static StatusOr<ShardCommand> Decode(std::string_view data);
 };
 
-// Replicated state machine: KV store + staged 2PC transactions.
+// Replicated state machine: KV store + staged 2PC transactions + directory
+// mutation epochs.
 class TafDbShardSm : public StateMachine {
  public:
   explicit TafDbShardSm(KvOptions kv_options);
 
   std::string Apply(LogIndex index, std::string_view command) override;
   // Log compaction support: serializes/replaces the full shard state
-  // (live records, staged transactions, exactly-once bookkeeping).
+  // (live records, staged transactions, exactly-once bookkeeping, epochs).
   std::string Snapshot() override;
   Status Restore(std::string_view state) override;
 
   const KvStore& kv() const { return kv_; }
   KvStore* mutable_kv() { return &kv_; }
 
+  // A directory's mutation epoch: the number of applied ops that named it
+  // as their PrimitiveOp::epoch_dir (0 if none). Client engines tag cached
+  // dentries with the epoch observed alongside the data and treat a newer
+  // epoch as staleness (DESIGN.md §8). Bumped in apply, so every replica
+  // holds the same value at the same log index.
+  uint64_t DirEpoch(InodeId dir) const;
+
  private:
-  KvStore kv_;
+  // Executes `op` and, if it succeeded, bumps its epoch_dir.
+  PrimitiveResult ApplyOp(const PrimitiveOp& op);
+
+  KvStore kv_;  // tsa-coverage: allow(internally synchronized)
+  // Apply, Snapshot and Restore are serialized by the raft node.
+  // tsa-coverage: allow(raft apply only)
   std::map<TxnId, PrimitiveOp> staged_;
   // Exactly-once bookkeeping: request id -> cached encoded result, bounded.
+  // tsa-coverage: allow(raft apply only)
   std::map<uint64_t, std::string> applied_requests_;
-  std::deque<uint64_t> applied_order_;
+  std::deque<uint64_t> applied_order_;  // tsa-coverage: allow(raft apply only)
+  // Written only by apply (under raft.node); read by leader-served epoch
+  // reads on client threads. Leaf.
+  mutable SharedMutex epoch_mu_{"tafdb.epoch", 63};
+  std::unordered_map<InodeId, uint64_t> dir_epochs_ GUARDED_BY(epoch_mu_);
 };
 
 struct TafDbShardOptions {
@@ -138,16 +156,11 @@ class TafDbShard : public TxnParticipant {
   Status Abort(TxnId txn) override;
   NodeId ParticipantNetId() const override { return ServiceNetId(); }
 
-  // ---- directory epoch coherence hints (client dentry caches) ----
-  // A per-directory mutation counter kept on the shard owning the
-  // directory's entry list (same kID routing as its id records). Mutating
-  // ops bump it; client engines tag cached dentries with the epoch observed
-  // at fill time and treat a mismatch as staleness on first touch. The
-  // epochs are unreplicated soft state (coherence hints, not data): after a
-  // shard restart they reset to zero, which merely forces clients to
-  // revalidate — the tag comparison is equality, not ordering.
+  // ---- directory epochs (client dentry caches) ----
+  // Leader-served read of TafDbShardSm::DirEpoch for a directory whose
+  // entry list this shard owns (same kID routing as its id records).
+  // Mutations bump it by naming the directory in PrimitiveOp::epoch_dir.
   uint64_t DirEpoch(InodeId dir) const;
-  uint64_t BumpDirEpoch(InodeId dir);  // returns the new epoch
 
   // ---- GC change capture ----
   std::vector<std::pair<LogIndex, ShardCommand>> ReadCommittedSince(
@@ -178,10 +191,6 @@ class TafDbShard : public TxnParticipant {
   // Service-side buffer pre-Prepare.
   std::map<TxnId, PrimitiveOp> staged_ GUARDED_BY(staged_mu_);
   std::atomic<uint64_t> request_seq_{1};
-  // Directory epochs: read-mostly (every cache-miss read consults one),
-  // written only by namespace mutations. Leaf.
-  mutable SharedMutex epoch_mu_{"tafdb.epoch", 63};
-  std::unordered_map<InodeId, uint64_t> dir_epochs_ GUARDED_BY(epoch_mu_);
 };
 
 }  // namespace cfs

@@ -424,6 +424,37 @@ TEST_F(CfsFullTest, IntraDirRenameSkipsRenamer) {
   EXPECT_EQ(fs_->renamer()->stats().committed, before.committed + 1);
 }
 
+// Figure 8c: an intra-directory rename onto an existing file is one
+// primitive with no pre-read of the destination; the replaced inode is
+// unreferenced from the record the primitive deleted.
+TEST_F(CfsFullTest, IntraDirRenameReplacesFileInOnePrimitive) {
+  ASSERT_TRUE(client_->Mkdir("/rp", 0755).ok());
+  ASSERT_TRUE(client_->Create("/rp/src", 0644).ok());
+  ASSERT_TRUE(client_->Create("/rp/dst", 0644).ok());
+  auto src = client_->GetAttr("/rp/src");
+  auto dst = client_->GetAttr("/rp/dst");
+  ASSERT_TRUE(src.ok());
+  ASSERT_TRUE(dst.ok());
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  uint64_t primitives = metrics.GetCounter("tafdb.primitives")->value();
+  uint64_t reads = metrics.GetCounter("tafdb.reads")->value();
+  ASSERT_TRUE(client_->Rename("/rp/src", "/rp/dst").ok());
+  EXPECT_EQ(metrics.GetCounter("tafdb.primitives")->value() - primitives, 1u);
+  EXPECT_EQ(metrics.GetCounter("tafdb.reads")->value() - reads, 0u);
+
+  auto moved = client_->GetAttr("/rp/dst");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->id, src->id);
+  EXPECT_TRUE(client_->GetAttr("/rp/src").status().IsNotFound());
+  fs_->filestore()->DrainAsync();
+  EXPECT_TRUE(fs_->filestore()
+                  ->NodeFor(dst->id)
+                  ->GetAttr(dst->id)
+                  .status()
+                  .IsNotFound());
+}
+
 TEST_F(CfsFullTest, GcReclaimsOrphanedCreateAttr) {
   // Simulate a client that crashed between create's two steps (Fig 7): the
   // FileStore attribute exists, the TafDB link was never written.
@@ -592,6 +623,54 @@ TEST_F(CfsFullTest, CoherenceDirectoryRenameInvalidatesCachedSubtree) {
   ASSERT_TRUE(client_->Mkdir("/pd/sub", 0755).ok());
   EXPECT_TRUE(client_->GetAttr("/pd/sub/f").status().IsNotFound());
   EXPECT_TRUE(client_->GetAttr("/q/f").ok());
+}
+
+// The renaming engine keeps its cache: the fast path fills `to` with the
+// epoch the primitive returned and fast-forwards the parent's view, so the
+// follow-up getattr resolves entirely from the cache.
+TEST_F(CfsFullTest, CoherenceOwnRenameKeepsCacheWarm) {
+  ASSERT_TRUE(client_->Mkdir("/rc", 0755).ok());
+  ASSERT_TRUE(client_->Create("/rc/a", 0644).ok());
+  ASSERT_TRUE(client_->Create("/rc/sib", 0644).ok());
+  ASSERT_TRUE(client_->GetAttr("/rc/a").ok());  // warm the chain
+  ASSERT_TRUE(client_->GetAttr("/rc/sib").ok());
+
+  Counter* reads = MetricsRegistry::Global().GetCounter("tafdb.reads");
+  uint64_t before = reads->value();
+  ASSERT_TRUE(client_->Rename("/rc/a", "/rc/b").ok());
+  EXPECT_TRUE(client_->GetAttr("/rc/b").ok());
+  EXPECT_TRUE(client_->GetAttr("/rc/sib").ok());
+  EXPECT_EQ(reads->value() - before, 0u);
+
+  // Normal-path renames come back through the Renamer's broadcast, which
+  // names this engine as its origin: its cached siblings survive too.
+  ASSERT_TRUE(client_->Mkdir("/rd", 0755).ok());
+  ASSERT_TRUE(client_->GetAttr("/rd").ok());
+  ASSERT_TRUE(client_->Rename("/rc/b", "/rd/b").ok());
+  before = reads->value();
+  EXPECT_TRUE(client_->GetAttr("/rc/sib").ok());
+  EXPECT_EQ(reads->value() - before, 0u);
+}
+
+// Engines A and B unlink different names in one directory, B first. A's
+// own unlink then returns A's view + 2, so A must not fast-forward: its
+// cached entry for B's name is stale and the next lookup misses.
+TEST_F(CfsFullTest, CoherenceInterleavedUnlinksInvalidateSiblings) {
+  ASSERT_TRUE(client_->Mkdir("/u", 0755).ok());
+  ASSERT_TRUE(client_->Create("/u/a", 0644).ok());
+  ASSERT_TRUE(client_->Create("/u/b", 0644).ok());
+  ASSERT_TRUE(client_->GetAttr("/u/a").ok());
+  ASSERT_TRUE(client_->GetAttr("/u/b").ok());
+  auto* engine = dynamic_cast<CfsEngine*>(client_.get());
+  ASSERT_NE(engine, nullptr);
+
+  auto other = fs_->NewClient();
+  ASSERT_TRUE(other->Unlink("/u/b").ok());
+  ASSERT_TRUE(client_->Unlink("/u/a").ok());
+
+  uint64_t stale = engine->dentry_cache().stats().stale_drops;
+  EXPECT_TRUE(client_->GetAttr("/u/b").status().IsNotFound());
+  EXPECT_EQ(engine->dentry_cache().stats().stale_drops - stale, 1u);
 }
 
 // Engine A renames; engine B (with a warm cache) must observe the new

@@ -208,8 +208,8 @@ TEST(DentryCacheTest, EpochRegressionIgnoredExceptReset) {
 // the parent is at epoch 1; before the fill lands, a rename commits, bumps
 // the epoch, and its invalidation broadcast refreshes this engine's view
 // to 2. The fill is tagged with the epoch observed WITH the data (1), so
-// it must be treated as stale — tagging with the refreshed view would
-// make pre-rename data indistinguishable from fresh.
+// it must be refused (and counted as a stale drop) — tagging with the
+// refreshed view would make pre-rename data indistinguishable from fresh.
 TEST(DentryCacheTest, FillTaggedOlderThanViewIsStaleNotFresh) {
   ManualClock clock;
   DentryCache cache(SmallOptions(), &clock);
@@ -217,9 +217,65 @@ TEST(DentryCacheTest, FillTaggedOlderThanViewIsStaleNotFresh) {
   // ... dentry read happens here, piggybacking epoch 1 ...
   cache.ObserveDirEpoch(kDir, 2);  // broadcast lands before the fill
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/1);
+  EXPECT_EQ(cache.size(), 0u);
 
   EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kMiss);
   EXPECT_EQ(cache.stats().stale_drops, 1u);
+}
+
+// An own mutation that returns view + 1 was the only change to the
+// directory: the view fast-forwards and the siblings cached under the old
+// epoch keep serving. The engine erases the name it mutated itself.
+TEST(DentryCacheTest, OwnEpochViewPlusOneKeepsCachedSiblings) {
+  ManualClock clock;
+  DentryCache cache(SmallOptions(), &clock);
+  cache.ObserveDirEpoch(kDir, 3);
+  cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/3);
+  cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/3);
+
+  cache.ObserveOwnEpoch(kDir, 4);
+  cache.Erase("/d/a");
+  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 4u);
+  EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kHit);
+  EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kMiss);
+  // Fills tagged with the new epoch serve alongside the old siblings.
+  cache.PutPositive("/d/c", kDir, 44, InodeType::kFile, /*epoch=*/4);
+  EXPECT_EQ(cache.Lookup("/d/c", kDir).outcome, Outcome::kHit);
+  EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kHit);
+  EXPECT_EQ(cache.stats().stale_drops, 0u);
+}
+
+// view + 2 means some other engine also mutated the directory in between:
+// every sibling may be stale, so the own observation invalidates them.
+TEST(DentryCacheTest, OwnEpochViewPlusTwoInvalidatesSiblings) {
+  ManualClock clock;
+  DentryCache cache(SmallOptions(), &clock);
+  cache.ObserveDirEpoch(kDir, 3);
+  cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/3);
+
+  cache.ObserveOwnEpoch(kDir, 5);
+  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 5u);
+  EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kMiss);
+  EXPECT_EQ(cache.stats().stale_drops, 1u);
+}
+
+// A resolve read "/d/a" at epoch 3; this engine's own rename of "/d/a"
+// then committed (epoch 4) and fast-forwarded the view. The in-flight fill
+// carries pre-rename data tagged 3 and must be refused, even though
+// entries already cached under epoch 3 stay valid.
+TEST(DentryCacheTest, PreMutationFillAfterOwnFastForwardIsRefused) {
+  ManualClock clock;
+  DentryCache cache(SmallOptions(), &clock);
+  cache.ObserveDirEpoch(kDir, 3);
+  cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/3);
+  // ... dentry read of /d/a happens here, piggybacking epoch 3 ...
+  cache.ObserveOwnEpoch(kDir, 4);
+  cache.Erase("/d/a");
+  cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/3);
+
+  EXPECT_EQ(cache.stats().stale_drops, 1u);
+  EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kMiss);
+  EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kHit);
 }
 
 TEST(DentryCacheTest, LookupValidatedRefreshesAgedViewAndServesHit) {

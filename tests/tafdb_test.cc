@@ -377,6 +377,7 @@ TEST(PrimitiveCodecTest, OpEncodeDecodeRoundTrip) {
   upd.lww.size = -5;
   upd.lww.ts = 12;
   op.updates.push_back(upd);
+  op.epoch_dir = 5;
 
   auto decoded = PrimitiveOp::Decode(op.Encode());
   ASSERT_TRUE(decoded.ok());
@@ -398,16 +399,60 @@ TEST(PrimitiveCodecTest, OpEncodeDecodeRoundTrip) {
   EXPECT_EQ(*decoded->updates[0].lww.mtime, 11u);
   EXPECT_EQ(*decoded->updates[0].lww.size, -5);
   EXPECT_EQ(decoded->updates[0].lww.ts, 12u);
+  EXPECT_EQ(decoded->epoch_dir, 5u);
 }
 
 TEST(PrimitiveCodecTest, ResultRoundTrip) {
   PrimitiveResult r;
   r.status = Status::NotEmpty("dir");
   r.deleted = 3;
+  r.deleted_records.push_back(
+      InodeRecord::MakeIdRecord(5, "gone", 9, InodeType::kFile));
+  r.epoch = 7;
   auto decoded = PrimitiveResult::Decode(r.Encode());
   EXPECT_EQ(decoded.status.code(), ErrorCode::kNotEmpty);
   EXPECT_EQ(decoded.status.message(), "dir");
   EXPECT_EQ(decoded.deleted, 3);
+  ASSERT_EQ(decoded.deleted_records.size(), 1u);
+  EXPECT_EQ(decoded.deleted_records[0].id, 9u);
+  EXPECT_EQ(decoded.epoch, 7u);
+}
+
+// Directory epochs are shard state: bumped in apply only when the op
+// succeeds, replayed (not bumped again) for a retried request id, and
+// carried by the snapshot.
+TEST(TafDbShardSmTest, DirEpochBumpsInApplyAndSurvivesSnapshot) {
+  KvOptions kv;
+  kv.use_wal = false;
+  TafDbShardSm sm(kv);
+  auto apply = [&](uint64_t request_id, const PrimitiveOp& op) {
+    ShardCommand cmd;
+    cmd.request_id = request_id;
+    cmd.op = op;
+    return PrimitiveResult::Decode(sm.Apply(request_id, cmd.Encode()));
+  };
+  PrimitiveOp mkdir;
+  mkdir.inserts.push_back(InodeRecord::MakeDirAttr(10, 1, 0755, 0, 0));
+  ASSERT_TRUE(apply(1, mkdir).status.ok());
+  EXPECT_EQ(sm.DirEpoch(10), 0u);
+
+  PrimitiveOp create;
+  create.inserts.push_back(
+      InodeRecord::MakeIdRecord(10, "f", 20, InodeType::kFile));
+  create.epoch_dir = 10;
+  PrimitiveResult first = apply(2, create);
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_EQ(first.epoch, 1u);
+  EXPECT_EQ(apply(2, create).epoch, 1u);  // retried proposal: replayed
+  PrimitiveResult duplicate = apply(3, create);
+  EXPECT_TRUE(duplicate.status.IsAlreadyExists());
+  EXPECT_EQ(duplicate.epoch, 0u);
+  EXPECT_EQ(sm.DirEpoch(10), 1u);
+
+  TafDbShardSm restored(kv);
+  ASSERT_TRUE(restored.Restore(sm.Snapshot()).ok());
+  EXPECT_EQ(restored.DirEpoch(10), 1u);
+  EXPECT_EQ(restored.DirEpoch(11), 0u);
 }
 
 // ---------- raft-backed shard & cluster ----------
