@@ -190,9 +190,10 @@ class CfsEngine : public MetadataClient {
   // Drops `path` and every cached descendant (a directory rename moves the
   // whole subtree, so exact-path invalidation is not enough).
   void InvalidateCache(const std::string& path);
-  // Applies a Renamer post-commit broadcast: adopts both parents' freshly
-  // bumped epochs (as its own mutation when this engine issued the rename),
-  // then drops the moved paths (subtrees for directory moves).
+  // Applies a Renamer post-commit broadcast: each parent's epoch moved by
+  // exactly one bump, which touched only the moved name, so the engine
+  // observes that one-bump slice per parent; then drops the moved subtrees
+  // for directory moves.
   void ApplyInvalidation(const CacheInvalidation& inv);
   const DentryCache& dentry_cache() const { return cache_; }
 
@@ -200,6 +201,10 @@ class CfsEngine : public MetadataClient {
   struct Resolved {
     InodeId parent = kInvalidInode;
     std::string name;       // empty for "/"
+    // Normalized paths of the entry and of its parent directory; the
+    // dentry cache keys by these.
+    std::string path;
+    std::string dir_path;
     InodeId id = kInvalidInode;
     InodeType type = InodeType::kNone;
   };
@@ -215,22 +220,26 @@ class CfsEngine : public MetadataClient {
   // paper's "lock phase": the RPC round trips plus in-queue blocking).
   Status LockPhaseCall(NodeId service, const std::function<Status()>& fn);
   // Releases `txn`'s row locks on `shard` in one lock-phase RPC. When
-  // `epoch_dir` is set, the same round first reads that directory's epoch
-  // and returns it (0 otherwise): read after the caller's commit applied,
-  // it is the value to hand to DentryCache::ObserveOwnEpoch, which only
-  // fast-forwards if no other bump came in between.
-  uint64_t UnlockRows(TafDbShard* shard, TxnId txn,
-                      InodeId epoch_dir = kInvalidInode);
+  // `dir` is set, the same round first reads that directory's changes
+  // since this engine's view, after the caller's commit applied, and the
+  // engine observes them under `dir_path`.
+  void UnlockRows(TafDbShard* shard, TxnId txn, InodeId dir = kInvalidInode,
+                  const std::string& dir_path = std::string());
 
-  // One dentry read from TafDB (1 RPC). The parent's mutation epoch is
-  // piggybacked on the same round and written to `*observed_epoch` (when
+  // One dentry read of `at.name` under `at.parent` from TafDB (1 RPC). The
+  // parent's changes since this engine's view are piggybacked on the same
+  // round and observed; their epoch is written to `*observed_epoch` (when
   // non-null) so callers can tag cache fills with the epoch observed
   // alongside the data — never a view refreshed by a concurrent
   // invalidation broadcast after the read.
-  StatusOr<InodeRecord> ReadEntry(InodeId parent, const std::string& name,
+  StatusOr<InodeRecord> ReadEntry(const Resolved& at,
                                   uint64_t* observed_epoch = nullptr);
   StatusOr<InodeRecord> ReadTafAttr(InodeId id);
   PrimitiveResult ExecOnShard(InodeId kid, const PrimitiveOp& op);
+  // Runs `op` on `dir`'s shard as a change to `dir` (its epoch_dir), and
+  // observes the changes since this engine's view that the result carries.
+  PrimitiveResult ExecDirChange(InodeId dir, const std::string& dir_path,
+                                PrimitiveOp op);
 
   // Full attribute record fetch honoring the tiering config.
   StatusOr<InodeRecord> FetchAttr(InodeId id, InodeType type);
@@ -252,7 +261,7 @@ class CfsEngine : public MetadataClient {
 
   // Dentry cache (client-side metadata resolving; src/core/dentry_cache.h).
   // Consults the cache under a kResolveCached trace span; a
-  // kNeedsValidation outcome triggers one DirEpoch RPC and a retry.
+  // kNeedsValidation outcome triggers one DirChangesSince RPC and a retry.
   DentryCache::LookupResult CacheLookup(const std::string& path,
                                         InodeId parent);
   // Fills tag the entry with `epoch`, the parent's epoch observed in the

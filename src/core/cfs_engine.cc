@@ -87,16 +87,17 @@ DentryCache::LookupResult CfsEngine::CacheLookup(const std::string& path,
   // view with one cheap shard read and retries, trusting the just-fetched
   // view; an unreachable shard degrades to a miss. The cache records one
   // terminal hit/miss outcome per call.
-  return cache_.LookupValidated(path, parent, [&](uint64_t* epoch) {
-    TafDbShard* shard = fs_->tafdb()->ShardFor(parent);
-    bool fetched = false;
-    (void)fs_->net()->Call(self_, shard->ServiceNetId(), [&]() -> Status {
-      *epoch = shard->DirEpoch(parent);
-      fetched = true;
-      return Status::Ok();
-    });
-    return fetched;
-  });
+  return cache_.LookupValidated(
+      path, parent, [&](uint64_t since, DirChanges* changes) {
+        TafDbShard* shard = fs_->tafdb()->ShardFor(parent);
+        bool fetched = false;
+        (void)fs_->net()->Call(self_, shard->ServiceNetId(), [&]() -> Status {
+          *changes = shard->DirChangesSince(parent, since);
+          fetched = true;
+          return Status::Ok();
+        });
+        return fetched;
+      });
 }
 
 void CfsEngine::CachePut(const std::string& path, InodeId parent, InodeId id,
@@ -117,56 +118,54 @@ void CfsEngine::InvalidateCache(const std::string& path) {
 
 void CfsEngine::ApplyInvalidation(const CacheInvalidation& inv) {
   trace::Instant(trace::Category::kCache, "invalidate");
-  // Epochs first, then the erases: a fill of a moved path that raced the
-  // rename is either refused by the new view or removed below.
-  auto observe = [&](InodeId dir, uint64_t epoch) {
+  // The rename's step A and step B each bumped one parent once, naming only
+  // the moved path's final component there. Without a path the slice
+  // cannot name a cached entry, so it falls back to a full invalidation.
+  auto observe = [&](InodeId dir, uint64_t epoch, const std::string& path) {
     if (dir == kInvalidInode) return;
-    if (inv.origin == self_) {
-      cache_.ObserveOwnEpoch(dir, epoch);
-    } else {
-      cache_.ObserveDirEpoch(dir, epoch);
+    DirChanges changes;
+    changes.since = epoch - 1;
+    changes.epoch = epoch;
+    auto split = SplitParent(path);
+    changes.covered = split.ok();
+    if (!split.ok()) {
+      cache_.ObserveDirChanges(dir, std::string(), changes);
+      return;
     }
+    changes.names.push_back(split->second);
+    cache_.ObserveDirChanges(dir, split->first, changes);
   };
-  observe(inv.src_parent, inv.src_parent_epoch);
-  observe(inv.dst_parent, inv.dst_parent_epoch);
-  if (!inv.src_path.empty()) {
-    if (inv.subtree) {
-      cache_.ErasePrefix(inv.src_path);
-    } else {
-      cache_.Erase(inv.src_path);
-    }
-  }
-  if (!inv.dst_path.empty() && inv.dst_path != inv.src_path) {
-    if (inv.subtree) {
-      cache_.ErasePrefix(inv.dst_path);
-    } else {
-      cache_.Erase(inv.dst_path);
-    }
+  observe(inv.src_parent, inv.src_parent_epoch, inv.src_path);
+  observe(inv.dst_parent, inv.dst_parent_epoch, inv.dst_path);
+  if (inv.subtree) {
+    // A moved directory takes its cached descendants with it.
+    if (!inv.src_path.empty()) cache_.ErasePrefix(inv.src_path);
+    if (!inv.dst_path.empty()) cache_.ErasePrefix(inv.dst_path);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Resolution
 
-StatusOr<InodeRecord> CfsEngine::ReadEntry(InodeId parent,
-                                           const std::string& name,
+StatusOr<InodeRecord> CfsEngine::ReadEntry(const Resolved& at,
                                            uint64_t* observed_epoch) {
-  TafDbShard* shard = fs_->tafdb()->ShardFor(parent);
-  uint64_t epoch = 0;
+  TafDbShard* shard = fs_->tafdb()->ShardFor(at.parent);
+  uint64_t since = cache_.ObservedDirEpoch(at.parent);
+  DirChanges changes;
   bool fetched = false;
   auto rec = fs_->net()->Call(self_, shard->ServiceNetId(), [&] {
-    // Piggyback the parent's mutation epoch on the entry read (same shard,
-    // same round trip). Epoch before entry: the tag can only be older than
-    // the content, so a concurrent bump makes the fill conservatively
+    // Piggyback the parent's changes on the entry read (same shard, same
+    // round trip). Changes before entry: the epoch tag can only be older
+    // than the content, so a concurrent bump makes the fill conservatively
     // stale rather than wrongly fresh. Callers that fill the cache must
     // tag with `*observed_epoch` — NOT the view at fill time, which a
     // concurrent invalidation broadcast may have advanced past this read.
-    epoch = shard->DirEpoch(parent);
+    changes = shard->DirChangesSince(at.parent, since);
     fetched = true;
-    return shard->Get(InodeKey::IdRecord(parent, name));
+    return shard->Get(InodeKey::IdRecord(at.parent, at.name));
   });
-  if (fetched) cache_.ObserveDirEpoch(parent, epoch);
-  if (observed_epoch != nullptr) *observed_epoch = epoch;
+  if (fetched) cache_.ObserveDirChanges(at.parent, at.dir_path, changes);
+  if (observed_epoch != nullptr) *observed_epoch = changes.epoch;
   return rec;
 }
 
@@ -183,15 +182,18 @@ Status CfsEngine::LockPhaseCall(NodeId service,
   return fs_->net()->Call(self_, service, fn);
 }
 
-uint64_t CfsEngine::UnlockRows(TafDbShard* shard, TxnId txn,
-                               InodeId epoch_dir) {
-  uint64_t epoch = 0;
-  (void)LockPhaseCall(shard->ServiceNetId(), [&]() -> Status {
-    if (epoch_dir != kInvalidInode) epoch = shard->DirEpoch(epoch_dir);
+void CfsEngine::UnlockRows(TafDbShard* shard, TxnId txn, InodeId dir,
+                           const std::string& dir_path) {
+  uint64_t since = dir == kInvalidInode ? 0 : cache_.ObservedDirEpoch(dir);
+  DirChanges changes;
+  Status st = LockPhaseCall(shard->ServiceNetId(), [&]() -> Status {
+    if (dir != kInvalidInode) changes = shard->DirChangesSince(dir, since);
     shard->locks()->UnlockAll(txn);
     return Status::Ok();
   });
-  return epoch;
+  if (st.ok() && dir != kInvalidInode) {
+    cache_.ObserveDirChanges(dir, dir_path, changes);
+  }
 }
 
 PrimitiveResult CfsEngine::ExecOnShard(InodeId kid, const PrimitiveOp& op) {
@@ -208,6 +210,18 @@ PrimitiveResult CfsEngine::ExecOnShard(InodeId kid, const PrimitiveOp& op) {
   trace::NodeScope node(fs_->net()->TraceNodeOf(shard->ServiceNetId()));
   trace::ScopedSpan exec(trace::Category::kExec, "primitive");
   return shard->ExecutePrimitive(op);
+}
+
+PrimitiveResult CfsEngine::ExecDirChange(InodeId dir,
+                                         const std::string& dir_path,
+                                         PrimitiveOp op) {
+  op.epoch_dir = dir;
+  op.epoch_since = cache_.ObservedDirEpoch(dir);
+  PrimitiveResult result = ExecOnShard(dir, op);
+  if (result.status.ok()) {
+    cache_.ObserveDirChanges(dir, dir_path, result.changes);
+  }
+  return result;
 }
 
 StatusOr<InodeId> CfsEngine::ResolveDirId(const std::string& path) {
@@ -236,6 +250,8 @@ StatusOr<CfsEngine::Resolved> CfsEngine::ResolveParent(
   Resolved out;
   out.parent = *parent_id;
   out.name = name;
+  out.path = JoinPath(parent_path, name);
+  out.dir_path = std::move(parent_path);
   return out;
 }
 
@@ -246,6 +262,7 @@ StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
   TraceSpan span(Phase::kResolve);
   if (path == "/") {
     Resolved root;
+    root.path = "/";
     root.id = kRootInode;
     root.type = InodeType::kDirectory;
     return root;
@@ -254,7 +271,7 @@ StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
   if (!parent.ok()) return parent.status();
   Resolved out = std::move(parent).value();
   if (!bypass_final_cache) {
-    DentryCache::LookupResult hit = CacheLookup(path, out.parent);
+    DentryCache::LookupResult hit = CacheLookup(out.path, out.parent);
     if (hit.outcome == DentryCache::Outcome::kHit) {
       out.id = hit.id;
       out.type = hit.type;
@@ -265,18 +282,18 @@ StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
     }
   }
   uint64_t entry_epoch = 0;
-  auto entry = ReadEntry(out.parent, out.name, &entry_epoch);
+  auto entry = ReadEntry(out, &entry_epoch);
   if (!entry.ok()) {
     // Tag the negative entry with the epoch read alongside the ENOENT: a
-    // cached miss until the TTL runs out or the epoch moves.
+    // cached miss until the TTL runs out or the name is journaled.
     if (entry.status().IsNotFound()) {
-      CacheNegative(path, out.parent, entry_epoch);
+      CacheNegative(out.path, out.parent, entry_epoch);
     }
     return entry.status();
   }
   out.id = entry->id;
   out.type = entry->type;
-  CachePut(path, out.parent, out.id, out.type, entry_epoch);
+  CachePut(out.path, out.parent, out.id, out.type, entry_epoch);
   return out;
 }
 
@@ -398,10 +415,10 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
     if (!result.status.ok()) {
       // The attribute record is now an orphan; the GC's pairing analysis
       // will reclaim it (§4.4).
-      if (result.status.IsNotFound()) CacheErase(path);
+      if (result.status.IsNotFound()) CacheErase(parent->path);
       return result.status;
     }
-    CachePut(path, parent->parent, id, type, parent_epoch);
+    CachePut(parent->path, parent->parent, id, type, parent_epoch);
     return Status::Ok();
   }
 
@@ -428,7 +445,7 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
     unlock();
     return Status::NotADirectory(path);
   }
-  auto existing = ReadEntry(parent->parent, parent->name);
+  auto existing = ReadEntry(*parent);
   if (existing.ok()) {
     unlock();
     return Status::AlreadyExists(path);
@@ -473,7 +490,7 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
   }
   unlock();
   if (commit_st.ok()) {
-    CachePut(path, parent->parent, id, type, parent_epoch);
+    CachePut(parent->path, parent->parent, id, type, parent_epoch);
   }
   return commit_st;
 }
@@ -522,10 +539,11 @@ Status CfsEngine::Mkdir(const std::string& path, uint32_t mode) {
                                             bump);
     PrimitiveResult r2 = ExecOnShard(parent->parent, op);
     if (!r2.status.ok()) {
-      if (r2.status.IsNotFound()) CacheErase(path);
+      if (r2.status.IsNotFound()) CacheErase(parent->path);
       return r2.status;
     }
-    CachePut(path, parent->parent, id, InodeType::kDirectory, parent_epoch);
+    CachePut(parent->path, parent->parent, id, InodeType::kDirectory,
+             parent_epoch);
     return Status::Ok();
   }
 
@@ -552,7 +570,7 @@ Status CfsEngine::Mkdir(const std::string& path, uint32_t mode) {
     unlock();
     return Status::NotADirectory(path);
   }
-  if (ReadEntry(parent->parent, parent->name).ok()) {
+  if (ReadEntry(*parent).ok()) {
     unlock();
     return Status::AlreadyExists(path);
   }
@@ -571,7 +589,8 @@ Status CfsEngine::Mkdir(const std::string& path, uint32_t mode) {
   Status commit_st = CommitWriteSets(std::move(ops), txn);
   unlock();
   if (commit_st.ok()) {
-    CachePut(path, parent->parent, id, InodeType::kDirectory, parent_epoch);
+    CachePut(parent->path, parent->parent, id, InodeType::kDirectory,
+             parent_epoch);
   }
   return commit_st;
 }
@@ -604,7 +623,7 @@ Status CfsEngine::Rmdir(const std::string& path) {
     retire.deletes.push_back(del_attr);
     PrimitiveResult r1 = ExecOnShard(resolved->id, retire);
     if (!r1.status.ok()) {
-      if (r1.status.IsNotFound()) CacheErase(path);
+      if (r1.status.IsNotFound()) CacheErase(resolved->path);
       return r1.status;
     }
 
@@ -622,11 +641,10 @@ Status CfsEngine::Rmdir(const std::string& path) {
     dec.links_delta = -1;
     dec.lww.mtime = ts;
     dec.lww.ts = ts;
-    auto op = PrimitiveOp::DeleteWithUpdate(del_entry, dec);
-    op.epoch_dir = resolved->parent;
-    PrimitiveResult r2 = ExecOnShard(resolved->parent, op);
-    if (r2.status.ok()) cache_.ObserveOwnEpoch(resolved->parent, r2.epoch);
-    CacheErase(path);
+    PrimitiveResult r2 =
+        ExecDirChange(resolved->parent, resolved->dir_path,
+                      PrimitiveOp::DeleteWithUpdate(del_entry, dec));
+    CacheErase(resolved->path);
     if (!r2.status.ok() && !r1.deleted_records.empty()) {
       // The dentry moved under us (a concurrent rename won): the directory
       // is alive somewhere else, so restore the exact attribute image step
@@ -686,18 +704,18 @@ Status CfsEngine::Rmdir(const std::string& path) {
   // Revalidate the dentry under the locks: a stale cached resolution may
   // name a directory that has since been renamed elsewhere; acting on it
   // would delete a live directory's attribute record.
-  auto locked_entry = ReadEntry(resolved->parent, resolved->name);
+  auto locked_entry = ReadEntry(*resolved);
   if (!locked_entry.ok() || locked_entry->id != resolved->id ||
       locked_entry->type != InodeType::kDirectory) {
     unlock_all();
-    CacheErase(path);
+    CacheErase(resolved->path);
     return locked_entry.ok() ? Status::NotFound(path)
                              : locked_entry.status();
   }
   auto dir_attr = ReadTafAttr(resolved->id);
   if (!dir_attr.ok()) {
     unlock_all();
-    CacheErase(path);
+    CacheErase(resolved->path);
     return dir_attr.status();
   }
   if (dir_attr->children != 0) {
@@ -733,10 +751,9 @@ Status CfsEngine::Rmdir(const std::string& path) {
     op.deletes.push_back(del);
   }
   Status commit_st = CommitWriteSets(std::move(ops), txn);
-  uint64_t epoch = UnlockRows(shard_p, txn, resolved->parent);
+  UnlockRows(shard_p, txn, resolved->parent, resolved->dir_path);
   if (shard_d != shard_p) UnlockRows(shard_d, txn);
-  if (commit_st.ok()) cache_.ObserveOwnEpoch(resolved->parent, epoch);
-  CacheErase(path);
+  CacheErase(resolved->path);
   return commit_st;
 }
 
@@ -767,13 +784,10 @@ Status CfsEngine::Unlink(const std::string& path) {
     dec.children_delta = -1;
     dec.lww.mtime = ts;
     dec.lww.ts = ts;
-    auto op = PrimitiveOp::DeleteWithUpdate(del, dec);
-    op.epoch_dir = resolved->parent;
-    PrimitiveResult result = ExecOnShard(resolved->parent, op);
-    if (result.status.ok()) {
-      cache_.ObserveOwnEpoch(resolved->parent, result.epoch);
-    }
-    CacheErase(path);
+    PrimitiveResult result =
+        ExecDirChange(resolved->parent, resolved->dir_path,
+                      PrimitiveOp::DeleteWithUpdate(del, dec));
+    CacheErase(resolved->path);
     if (!result.status.ok()) return result.status;
     DeleteFileAttrAsync(resolved->id);
     return Status::Ok();
@@ -792,10 +806,10 @@ Status CfsEngine::Unlink(const std::string& path) {
   if (!lock_st.ok()) return lock_st;
   auto unlock = [&] { UnlockRows(shard_p, txn); };
 
-  auto entry = ReadEntry(resolved->parent, resolved->name);
+  auto entry = ReadEntry(*resolved);
   if (!entry.ok()) {
     unlock();
-    CacheErase(path);
+    CacheErase(resolved->path);
     return entry.status();
   }
   if (entry->type == InodeType::kDirectory) {
@@ -850,9 +864,8 @@ Status CfsEngine::Unlink(const std::string& path) {
     ops[fs_->tafdb()->ShardIndexFor(entry->id)].deletes.push_back(del_attr);
     commit_st = CommitWriteSets(std::move(ops), txn);
   }
-  uint64_t epoch = UnlockRows(shard_p, txn, resolved->parent);
-  if (commit_st.ok()) cache_.ObserveOwnEpoch(resolved->parent, epoch);
-  CacheErase(path);
+  UnlockRows(shard_p, txn, resolved->parent, resolved->dir_path);
+  CacheErase(resolved->path);
   return commit_st;
 }
 
@@ -868,14 +881,14 @@ StatusOr<FileInfo> CfsEngine::Lookup(const std::string& path) {
   auto parent = ResolveParent(path);
   if (!parent.ok()) return parent.status();
   uint64_t entry_epoch = 0;
-  auto entry = ReadEntry(parent->parent, parent->name, &entry_epoch);
+  auto entry = ReadEntry(*parent, &entry_epoch);
   if (!entry.ok()) {
     if (entry.status().IsNotFound()) {
-      CacheNegative(path, parent->parent, entry_epoch);
+      CacheNegative(parent->path, parent->parent, entry_epoch);
     }
     return entry.status();
   }
-  CachePut(path, parent->parent, entry->id, entry->type, entry_epoch);
+  CachePut(parent->path, parent->parent, entry->id, entry->type, entry_epoch);
   FileInfo info;
   info.id = entry->id;
   info.type = entry->type;
@@ -890,7 +903,7 @@ StatusOr<FileInfo> CfsEngine::GetAttr(const std::string& path) {
     if (attr.status().IsNotFound()) {
       // Possibly a dangling dentry from a crashed rmdir/unlink: hand it to
       // the GC's on-demand path (§4.4) and re-resolve once.
-      CacheErase(path);
+      CacheErase(resolved->path);
       if (resolved->parent != kInvalidInode) {
         fs_->gc()->ReportDangling(resolved->parent, resolved->name,
                                   resolved->id);
@@ -921,18 +934,17 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
                             [&] { return node->SetAttr(resolved->id, update); });
   }
   // Directory attributes are cached context for resolves under it: the
-  // update bumps the directory's epoch so other engines revalidate.
+  // update bumps the directory's epoch, naming no dentry, so every engine
+  // revalidates everything cached under it.
   InodeId epoch_dir =
       resolved->type == InodeType::kDirectory ? resolved->id : kInvalidInode;
   if (fs_->options().primitives) {
     PrimitiveOp op;
     op.updates.push_back(update);
-    op.epoch_dir = epoch_dir;
-    PrimitiveResult result = ExecOnShard(resolved->id, op);
-    if (result.status.ok() && epoch_dir != kInvalidInode) {
-      cache_.ObserveOwnEpoch(epoch_dir, result.epoch);
+    if (epoch_dir != kInvalidInode) {
+      return ExecDirChange(epoch_dir, resolved->path, op).status;
     }
-    return result.status;
+    return ExecOnShard(resolved->id, op).status;
   }
 
   // Conventional path: lock, read, write image.
@@ -956,10 +968,7 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
       return shard->CommitLocal(op).status;
     });
   }
-  uint64_t epoch = UnlockRows(shard, txn, epoch_dir);
-  if (commit_st.ok() && epoch_dir != kInvalidInode) {
-    cache_.ObserveOwnEpoch(epoch_dir, epoch);
-  }
+  UnlockRows(shard, txn, epoch_dir, resolved->path);
   return commit_st;
 }
 
@@ -992,7 +1001,7 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   if (!src.ok()) return src.status();
   auto dst_parent = ResolveParent(to);
   if (!dst_parent.ok()) return dst_parent.status();
-  if (from == to) return Status::Ok();
+  if (src->path == dst_parent->path) return Status::Ok();
 
   bool intra_dir = src->parent == dst_parent->parent;
   bool is_file = src->type != InodeType::kDirectory;
@@ -1018,17 +1027,16 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
     upd.children_delta_auto = true;
     upd.lww.mtime = ts;
     upd.lww.ts = ts;
-    auto op = PrimitiveOp::InsertAndDeleteWithUpdate(moved, {del_a, del_b},
-                                                     upd, {});
-    op.epoch_dir = src->parent;
-    PrimitiveResult result = ExecOnShard(src->parent, op);
-    if (result.status.ok()) cache_.ObserveOwnEpoch(src->parent, result.epoch);
-    CacheErase(from);
+    PrimitiveResult result = ExecDirChange(
+        src->parent, src->dir_path,
+        PrimitiveOp::InsertAndDeleteWithUpdate(moved, {del_a, del_b}, upd, {}));
+    CacheErase(src->path);
     if (!result.status.ok()) {
-      CacheErase(to);
+      CacheErase(dst_parent->path);
       return result.status;
     }
-    CachePut(to, src->parent, src->id, src->type, result.epoch);
+    CachePut(dst_parent->path, src->parent, src->id, src->type,
+             result.changes.epoch);
     if (result.deleted_records.size() == 2) {
       DeleteFileAttrAsync(result.deleted_records[1].id);
     }
@@ -1042,17 +1050,16 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   req.src_name = src->name;
   req.dst_parent = dst_parent->parent;
   req.dst_name = dst_parent->name;
-  req.src_path = from;
-  req.dst_path = to;
-  req.origin = self_;
+  req.src_path = src->path;
+  req.dst_path = dst_parent->path;
   Renamer* renamer = fs_->renamer();
   Status st = fs_->net()->Call(self_, renamer->CoordinatorNetId(),
                                [&] { return renamer->Rename(req); });
   // The Renamer's post-commit broadcast already invalidated every engine
   // (including this one, subtree-wide for directory moves); these local
   // erases only cover the failure paths where no broadcast was sent.
-  CacheErase(from);
-  CacheErase(to);
+  CacheErase(src->path);
+  CacheErase(dst_parent->path);
   return st;
 }
 
@@ -1116,7 +1123,7 @@ Status CfsEngine::Link(const std::string& existing,
     }
     return result.status;
   }
-  CachePut(link_path, parent->parent, src->id, src->type, parent_epoch);
+  CachePut(parent->path, parent->parent, src->id, src->type, parent_epoch);
   return Status::Ok();
 }
 

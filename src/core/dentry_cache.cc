@@ -1,9 +1,11 @@
 #include "src/core/dentry_cache.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "src/common/metrics.h"
 #include "src/common/race_detector.h"
+#include "src/core/metadata_client.h"
 
 namespace cfs {
 namespace {
@@ -17,6 +19,7 @@ struct GlobalCounters {
   Counter* stale;
   Counter* evict;
   Counter* prefix_drop;
+  Counter* journal_drop;
   Counter* revalidate;
 };
 
@@ -30,6 +33,7 @@ const GlobalCounters& Counters() {
         registry.GetCounter("dentry_cache.stale"),
         registry.GetCounter("dentry_cache.evict"),
         registry.GetCounter("dentry_cache.prefix_drop"),
+        registry.GetCounter("dentry_cache.journal_drop"),
         registry.GetCounter("dentry_cache.revalidate"),
     };
   }();
@@ -78,31 +82,42 @@ bool DentryCache::ViewOf(InodeId dir, EpochView* out) const {
 }
 
 void DentryCache::ObserveDirEpoch(InodeId dir, uint64_t epoch) {
-  Observe(dir, epoch, /*own=*/false);
+  DirChanges changes;
+  changes.since = epoch;
+  changes.epoch = epoch;
+  ObserveDirChanges(dir, std::string(), changes);
 }
 
-void DentryCache::ObserveOwnEpoch(InodeId dir, uint64_t epoch) {
-  Observe(dir, epoch, /*own=*/true);
-}
-
-void DentryCache::Observe(InodeId dir, uint64_t epoch, bool own) {
+void DentryCache::ObserveDirChanges(InodeId dir, const std::string& dir_path,
+                                    const DirChanges& changes) {
   if (options_.capacity == 0) return;
   int64_t now_us = clock_->NowMicros();
   EpochShard& shard = EpochShardFor(dir);
+  // Held across the erases, so a fill tagged below the advanced view is
+  // either refused by PutEntry or already in the cache and erased here.
   MutexLock lock(shard.mu);
   CFS_SHARED_WRITE(shard.views, shard.mu);
   auto [it, inserted] = shard.views.try_emplace(dir);
   EpochView& view = it->second;
-  if (own && !inserted && epoch == view.epoch + 1) {
-    // Our mutation is the only change since the view: keep valid_from.
-    view.epoch = epoch;
-  } else if (inserted || epoch > view.epoch || epoch == 0) {
+  if (!inserted && changes.covered && view.epoch >= changes.since) {
+    // The journal names everything that changed since the view: drop
+    // exactly those entries and keep valid_from, so the rest stay valid.
+    uint64_t dropped = 0;
+    for (const std::string& name : changes.names) {
+      if (EraseEntry(JoinPath(dir_path, name))) dropped++;
+    }
+    if (dropped > 0) {
+      stats_.journal_drops.fetch_add(dropped, std::memory_order_relaxed);
+      Counters().journal_drop->Add(dropped);
+    }
+    view.epoch = std::max(view.epoch, changes.epoch);
+  } else if (inserted || changes.epoch > view.epoch || changes.epoch == 0) {
     // Anything else that changed the directory invalidates every tag. A
     // lower epoch is a reordered observation and only refreshes the
     // timestamp below (the shard was reachable just now); a reset to 0 is
     // adopted, so tagged entries conservatively revalidate.
-    view.epoch = epoch;
-    view.valid_from = epoch;
+    view.epoch = changes.epoch;
+    view.valid_from = changes.epoch;
   }
   view.observed_us = now_us;
 }
@@ -190,8 +205,7 @@ DentryCache::LookupResult DentryCache::Lookup(const std::string& path,
 }
 
 DentryCache::LookupResult DentryCache::LookupValidated(
-    const std::string& path, InodeId parent,
-    const std::function<bool(uint64_t*)>& refresh_epoch) {
+    const std::string& path, InodeId parent, const RefreshFn& refresh) {
   if (options_.capacity == 0) {
     return LookupResult();  // disabled: always a miss, skip the counters
   }
@@ -203,9 +217,13 @@ DentryCache::LookupResult DentryCache::LookupValidated(
     // terminal outcome, so one logical lookup counts exactly one of
     // hit / negative_hit / miss.
     RecordOutcome(Outcome::kNeedsValidation, /*stale=*/false);
-    uint64_t epoch = 0;
-    if (refresh_epoch && refresh_epoch(&epoch)) {
-      ObserveDirEpoch(parent, epoch);
+    DirChanges changes;
+    if (refresh && refresh(ObservedDirEpoch(parent), &changes)) {
+      // Cached paths are normalized, so the directory is everything before
+      // the last '/' (the root for a top-level name).
+      size_t slash = path.rfind('/');
+      ObserveDirChanges(parent, path.substr(0, slash == 0 ? 1 : slash),
+                        changes);
       result = LookupRound(path, parent, /*view_is_fresh=*/true, &stale);
     } else {
       // Shard unreachable: the view could not be refreshed, so the hit
@@ -223,8 +241,8 @@ void DentryCache::PutEntry(const std::string& path, Entry entry) {
   EntryShard& shard = ShardFor(path);
   {
     // Held across the insert so the view check is atomic with it: an
-    // ObserveOwnEpoch either precedes the check (and the fill is refused)
-    // or follows the insert (and the caller's erase removes the entry).
+    // ObserveDirChanges either precedes the check (and the fill is
+    // refused) or follows the insert (and its erase removes the entry).
     EpochShard& epochs = EpochShardFor(entry.parent);
     MutexLock epoch_lock(epochs.mu);
     CFS_SHARED_READ(epochs.views, epochs.mu);
@@ -282,13 +300,16 @@ void DentryCache::PutNegative(const std::string& path, InodeId parent,
   PutEntry(path, entry);
 }
 
-void DentryCache::Erase(const std::string& path) {
+void DentryCache::Erase(const std::string& path) { (void)EraseEntry(path); }
+
+bool DentryCache::EraseEntry(const std::string& path) {
   EntryShard& shard = ShardFor(path);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(path);
-  if (it == shard.index.end()) return;
+  if (it == shard.index.end()) return false;
   shard.lru.erase(it->second);
   shard.index.erase(it);
+  return true;
 }
 
 void DentryCache::ErasePrefix(const std::string& path) {
@@ -343,6 +364,7 @@ DentryCache::Stats DentryCache::stats() const {
   out.stale_drops = stats_.stale_drops.load(std::memory_order_relaxed);
   out.evictions = stats_.evictions.load(std::memory_order_relaxed);
   out.prefix_drops = stats_.prefix_drops.load(std::memory_order_relaxed);
+  out.journal_drops = stats_.journal_drops.load(std::memory_order_relaxed);
   out.revalidations = stats_.revalidations.load(std::memory_order_relaxed);
   return out;
 }

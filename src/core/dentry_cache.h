@@ -9,21 +9,24 @@
 //     lookups of missing names; negative entries expire after a TTL, which
 //     bounds how long a create by another client can stay invisible.
 //   - Per-entry epoch tags: every entry records the parent directory's
-//     mutation epoch (replicated state of the directory's TafDB shard,
-//     TafDbShardSm::DirEpoch) observed in the same round as the data it
-//     caches — not the view at fill time, which a concurrent invalidation
-//     broadcast could have refreshed past the data. A lookup is a hit
-//     only if the tag lies in the engine's current view of that epoch — a
-//     directory mutation anywhere in the cluster bumps the epoch, so stale
-//     dentries are detected on first touch after the view refreshes.
-//   - Own mutations fast-forward: when the epoch an engine's own mutation
-//     returns is exactly its view + 1, nothing else changed the directory,
-//     so ObserveOwnEpoch advances the view without invalidating the
-//     entries already cached (the engine erases the names it mutated).
-//     Fills tagged below the view are refused, which keeps data read
-//     before the mutation out of the cache.
+//     mutation epoch (replicated state of the directory's TafDB shard)
+//     observed in the same round as the data it caches — not the view at
+//     fill time, which a concurrent invalidation broadcast could have
+//     refreshed past the data. A lookup is a hit only if the tag lies in
+//     the engine's current view of that epoch.
+//   - Narrow invalidation from the directory's change journal: the shard
+//     journals which dentry names each epoch bump touched, and every epoch
+//     observation arrives as a DirChanges slice (a read piggyback, a
+//     revalidation, the reply to an own mutation, a Renamer broadcast).
+//     A covered slice that starts at or below the view erases exactly the
+//     named entries and advances the view, so cached siblings survive any
+//     client's unlink/rename. An uncovered slice (journal trimmed, a
+//     name-less bump such as a directory setattr, a restored shard) moves
+//     the whole view, so everything tagged below it goes stale on first
+//     touch. Fills tagged below the view are refused, which keeps data
+//     read before a change out of the cache.
 //   - Epoch views age: a view older than epoch_ttl_ms yields
-//     kNeedsValidation, telling the engine to refresh the epoch with one
+//     kNeedsValidation, telling the engine to refresh the view with one
 //     cheap RPC before trusting the hit. The TTL is therefore the staleness
 //     bound for mutations that are not broadcast (see below).
 //   - Eager prefix invalidation: directory renames drop whole cached
@@ -48,6 +51,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/thread_annotations.h"
+#include "src/tafdb/primitives.h"
 #include "src/tafdb/schema.h"
 
 namespace cfs {
@@ -73,7 +77,7 @@ class DentryCache {
     kHit,              // valid positive entry
     kNegativeHit,      // valid cached ENOENT
     kNeedsValidation,  // entry present but the parent's epoch view is too
-                       // old to trust; refresh via ObserveDirEpoch, retry
+                       // old to trust; refresh via ObserveDirChanges, retry
   };
 
   struct LookupResult {
@@ -86,31 +90,34 @@ class DentryCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t negative_hits = 0;
-    uint64_t stale_drops = 0;   // epoch/parent mismatch or expired negative
-    uint64_t evictions = 0;     // LRU capacity evictions
-    uint64_t prefix_drops = 0;  // entries removed by ErasePrefix
-    uint64_t revalidations = 0; // epoch revalidation rounds triggered
+    uint64_t stale_drops = 0;    // epoch/parent mismatch or expired negative
+    uint64_t evictions = 0;      // LRU capacity evictions
+    uint64_t prefix_drops = 0;   // entries removed by ErasePrefix
+    uint64_t journal_drops = 0;  // entries erased by a covered DirChanges
+    uint64_t revalidations = 0;  // epoch revalidation rounds triggered
   };
+
+  // Fetches the parent's changes since the view epoch `since` with one
+  // cheap RPC; returns false if the shard is unreachable.
+  using RefreshFn = std::function<bool(uint64_t since, DirChanges* changes)>;
 
   explicit DentryCache(Options options, const Clock* clock = RealClock::Get());
 
   // Consults the cache for `path`, whose final component lives in directory
   // `parent`. Never blocks on RPCs; kNeedsValidation asks the caller to
-  // fetch the directory epoch and retry (see LookupValidated, which does
+  // refresh the directory's view and retry (see LookupValidated, which does
   // exactly that). Records one counter per call.
   LookupResult Lookup(const std::string& path, InodeId parent);
 
   // Lookup plus the revalidation round: on kNeedsValidation, invokes
-  // `refresh_epoch` (expected to fetch the parent's current epoch with one
-  // cheap RPC; returns false if the shard is unreachable), adopts the
-  // refreshed view, and retries with that view trusted as fresh — even
-  // when epoch_ttl_ms <= 0 (revalidate-every-hit), the post-refresh retry
-  // can serve the hit. Exactly one terminal outcome (hit / negative hit /
-  // miss) is recorded per call, plus the revalidate event when a refresh
-  // happened; a failed refresh is a miss.
-  LookupResult LookupValidated(
-      const std::string& path, InodeId parent,
-      const std::function<bool(uint64_t*)>& refresh_epoch);
+  // `refresh`, observes the slice under `path`'s directory, and retries
+  // with the refreshed view trusted as fresh — even when epoch_ttl_ms <= 0
+  // (revalidate-every-hit), the post-refresh retry can serve the hit.
+  // Exactly one terminal outcome (hit / negative hit / miss) is recorded
+  // per call, plus the revalidate event when a refresh happened; a failed
+  // refresh is a miss.
+  LookupResult LookupValidated(const std::string& path, InodeId parent,
+                               const RefreshFn& refresh);
 
   // Fills a positive / negative entry tagged with `epoch` — the parent
   // directory's mutation epoch observed IN THE SAME ROUND as the data
@@ -119,8 +126,8 @@ class DentryCache {
   // between the read and the fill would tag pre-mutation data as fresh.
   // A fill tagged below the view is refused and counted as a stale drop
   // (the view check and the insert are atomic, so it cannot slip in
-  // behind an ObserveOwnEpoch). Fills under a parent whose epoch was never
-  // observed are stored but treated as stale on first lookup.
+  // behind an ObserveDirChanges). Fills under a parent whose epoch was
+  // never observed are stored but treated as stale on first lookup.
   void PutPositive(const std::string& path, InodeId parent, InodeId id,
                    InodeType type, uint64_t epoch);
   void PutNegative(const std::string& path, InodeId parent, uint64_t epoch);
@@ -131,18 +138,17 @@ class DentryCache {
   // entries) — acceptable because directory renames are rare (paper §4.3).
   void ErasePrefix(const std::string& path);
 
-  // Records a fresh observation of `dir`'s mutation epoch (from a read
-  // piggyback, a revalidation or an invalidation broadcast). A newer epoch
-  // invalidates every entry tagged below it. Regressing epochs are ignored
-  // except a reset to 0, which conservatively invalidates.
+  // Records a slice of `dir`'s change journal; `dir_path` is the path the
+  // directory's entries are cached under. If the slice is covered and the
+  // view is at or above its `since`, the named entries are erased and the
+  // view advances to the slice's epoch with the other entries still valid.
+  // Otherwise it is handled like ObserveDirEpoch.
+  void ObserveDirChanges(InodeId dir, const std::string& dir_path,
+                         const DirChanges& changes);
+  // Records an observation of `dir`'s epoch with no journal slice. A newer
+  // epoch invalidates every entry tagged below it. Regressing epochs are
+  // ignored except a reset to 0, which conservatively invalidates.
   void ObserveDirEpoch(InodeId dir, uint64_t epoch);
-  // Records the epoch this engine's own mutation of `dir` returned. If it
-  // is exactly the view + 1, no other mutation happened in between: the
-  // view fast-forwards and entries already cached stay valid, while fills
-  // tagged below the new epoch are refused from then on. Any other value
-  // is handled like ObserveDirEpoch. Callers observe first, then erase the
-  // names they mutated.
-  void ObserveOwnEpoch(InodeId dir, uint64_t epoch);
   // The engine's current view of `dir`'s epoch (0 if never observed).
   uint64_t ObservedDirEpoch(InodeId dir) const;
 
@@ -171,7 +177,7 @@ class DentryCache {
   struct EpochView {
     uint64_t epoch = 0;
     // Oldest tag still valid: entries tagged in [valid_from, epoch] serve.
-    // Own fast-forwards advance `epoch` alone; any other change moves both.
+    // Covered slices advance `epoch` alone; any other change moves both.
     uint64_t valid_from = 0;
     int64_t observed_us = 0;
   };
@@ -185,7 +191,8 @@ class DentryCache {
   EpochShard& EpochShardFor(InodeId dir) const;
   // Reads the view under the epoch-shard lock; ok=false when unobserved.
   bool ViewOf(InodeId dir, EpochView* out) const;
-  void Observe(InodeId dir, uint64_t epoch, bool own);
+  // Drops the exact path; true if it was cached.
+  bool EraseEntry(const std::string& path);
   void PutEntry(const std::string& path, Entry entry);
   // One cache consultation, no counters. `view_is_fresh` marks a view
   // refreshed within the same logical lookup (skips the TTL check; cannot
@@ -212,6 +219,7 @@ class DentryCache {
     std::atomic<uint64_t> stale_drops{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> prefix_drops{0};
+    std::atomic<uint64_t> journal_drops{0};
     std::atomic<uint64_t> revalidations{0};
   };
   mutable AtomicStats stats_;

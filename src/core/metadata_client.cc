@@ -42,4 +42,8 @@ StatusOr<std::pair<std::string, std::string>> SplitParent(
   return std::make_pair(parent, name);
 }
 
+std::string JoinPath(const std::string& dir, const std::string& name) {
+  return (dir == "/" ? std::string() : dir) + "/" + name;
+}
+
 }  // namespace cfs

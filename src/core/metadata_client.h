@@ -98,6 +98,9 @@ StatusOr<std::vector<std::string>> SplitPath(const std::string& path);
 // "/a/b/c" -> ("/a/b", "c"); "/" has no parent.
 StatusOr<std::pair<std::string, std::string>> SplitParent(
     const std::string& path);
+// ("/a/b", "c") -> "/a/b/c"; ("/", "c") -> "/c". The inverse of SplitParent
+// on normalized paths.
+std::string JoinPath(const std::string& dir, const std::string& name);
 
 }  // namespace cfs
 

@@ -149,6 +149,7 @@ Status RaftNode::Start() {
     last_snapshot_state_ = std::move(snapshot_state);
   }
   durable_index_ = LastIndexLocked();
+  claimed_index_ = durable_index_;
   commit_index_ = snapshot_index_;
   applied_index_ = snapshot_index_;
   SetRoleLocked(RaftRole::kFollower);
@@ -409,25 +410,38 @@ Status RaftNode::ReadBarrier(int64_t timeout_ms) {
 }
 
 void RaftNode::PersistEntriesUpTo(LogIndex index) {
-  // Group commit: batch-append all entries that are not yet durable and pay
-  // a single synced write. Serialized by mu_ bracketed copies; the fsync
-  // cost itself is paid outside mu_ so concurrent handlers are not blocked.
+  // Group commit: batch-append all entries that are not yet claimed and pay
+  // a single synced write. The fsync cost is paid outside mu_ so concurrent
+  // handlers are not blocked. A caller whose entries another persister has
+  // already claimed returns at once and may ship them to its peer: they
+  // only count toward a majority once durable_index_ covers them.
+  {
+    MutexLock lock(mu_);
+    if (index <= claimed_index_) return;
+  }
+  // Appends land in log order.
+  MutexLock persist(persist_mu_);
   std::vector<std::pair<LogIndex, LogEntry>> to_persist;
   {
     MutexLock lock(mu_);
-    if (index <= durable_index_) return;
-    for (LogIndex i = std::max(durable_index_, snapshot_index_) + 1;
+    for (LogIndex i = std::max(claimed_index_, snapshot_index_) + 1;
          i <= index && i <= LastIndexLocked(); i++) {
       to_persist.emplace_back(i, EntryAtLocked(i));
     }
     if (to_persist.empty()) return;
-    durable_index_ = to_persist.back().first;
+    claimed_index_ = to_persist.back().first;
   }
   for (size_t i = 0; i < to_persist.size(); i++) {
     bool last = i + 1 == to_persist.size();
     (void)wal_.Append(EncodeEntry(to_persist[i].first, to_persist[i].second),
                       /*sync=*/last);
   }
+  MutexLock lock(mu_);
+  // A truncation while the append ran pulled claimed_index_ back; entries
+  // past it were overwritten and are not this append's to publish.
+  durable_index_ = std::max(
+      durable_index_, std::min(to_persist.back().first, claimed_index_));
+  if (role_ == RaftRole::kLeader) AdvanceCommitLocked();
 }
 
 void RaftNode::ReplicatorLoop(size_t peer_index) {
@@ -595,6 +609,7 @@ void RaftNode::MaybeSnapshotLocked() {
   snapshot_term_ = snap_term;
   last_snapshot_state_ = std::move(state);
   if (durable_index_ < snapshot_index_) durable_index_ = snapshot_index_;
+  if (claimed_index_ < snapshot_index_) claimed_index_ = snapshot_index_;
   CFS_LOG(kDebug) << "raft " << id_ << " snapshot at " << snapshot_index_;
 }
 
@@ -677,6 +692,7 @@ AppendReply RaftNode::HandleAppendEntries(const AppendRequest& req) {
       (void)wal_.Append(EncodeEntry(i, EntryAtLocked(i)), /*sync=*/i == last);
     }
     durable_index_ = std::max(durable_index_, last);
+    claimed_index_ = std::max(claimed_index_, last);
   }
 
   LogIndex last_index = req.prev_log_index + req.entries.size();
@@ -722,6 +738,7 @@ SnapshotReply RaftNode::HandleInstallSnapshot(const SnapshotRequest& req) {
   commit_index_ = snapshot_index_;
   applied_index_ = snapshot_index_;
   durable_index_ = snapshot_index_;
+  claimed_index_ = snapshot_index_;
   (void)wal_.Append(
       EncodeSnapshot(snapshot_index_, snapshot_term_, req.state),
       /*sync=*/true);
@@ -734,6 +751,7 @@ void RaftNode::TruncateFromLocked(LogIndex from) {
   (void)wal_.Append(EncodeTruncate(from), /*sync=*/true);
   log_.resize(from - snapshot_index_ - 1);
   if (durable_index_ >= from) durable_index_ = from - 1;
+  if (claimed_index_ >= from) claimed_index_ = from - 1;
   // Any pending proposals in the truncated range are lost.
   for (auto it = pending_.lower_bound(from); it != pending_.end();) {
     it->second.promise.set_value(Status::Aborted("entry overwritten"));

@@ -265,7 +265,8 @@ class RaftNode {
   void MaybeSnapshotLocked() REQUIRES(mu_);
   void StartReplicatorsLocked() REQUIRES(mu_);
   void StopReplicators();
-  // Appends not-yet-durable entries to the WAL with one sync (group commit).
+  // Appends not-yet-claimed entries to the WAL with one sync (group
+  // commit), then publishes them as durable and advances the commit index.
   void PersistEntriesUpTo(LogIndex index);
 
   const ReplicaId id_;
@@ -283,6 +284,10 @@ class RaftNode {
   // WAL persists, so raft.node ranks below all of those; never held across
   // a peer RPC (replicators and elections drop it around BeginCall).
   mutable Mutex mu_{"raft.node", 60};
+  // Serializes PersistEntriesUpTo's WAL appends so they land, and publish
+  // durable_index_, in log order. Held across the append (and its fsync),
+  // taking mu_ only briefly inside.
+  Mutex persist_mu_{"raft.persist", 59};
   CondVar repl_cv_;
   CondVar apply_cv_;
 
@@ -305,8 +310,12 @@ class RaftNode {
   LogIndex applied_index_ GUARDED_BY(mu_) = 0;
   // Index of this leader's no-op barrier.
   LogIndex term_start_index_ GUARDED_BY(mu_) = 0;
-  // Entries persisted to WAL.
+  // Entries whose WAL append has returned; what AdvanceCommitLocked counts
+  // for this node.
   LogIndex durable_index_ GUARDED_BY(mu_) = 0;
+  // Entries some persister has taken to append (>= durable_index_), so
+  // concurrent replicators append each entry once.
+  LogIndex claimed_index_ GUARDED_BY(mu_) = 0;
   MonoNanos election_deadline_ GUARDED_BY(mu_) = 0;
 
   std::vector<RaftPeer> peers_ GUARDED_BY(mu_);

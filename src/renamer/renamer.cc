@@ -32,11 +32,12 @@ Renamer::Renamer(SimNet* net, std::vector<uint32_t> servers,
     : net_(net),
       tafdb_(tafdb),
       filestore_(filestore),
-      options_(std::move(options)) {
-  group_ = std::make_unique<RaftGroup>(
-      net_, "renamer", std::move(servers),
-      [](ReplicaId) { return std::make_unique<NoopSm>(); }, options_.raft);
-}
+      options_(std::move(options)),
+      group_(std::make_unique<RaftGroup>(
+          net_, "renamer", std::move(servers),
+          [](ReplicaId) { return std::make_unique<NoopSm>(); },
+          options_.raft)),
+      ts_cache_(net_, group_->replica(0)->net_id(), tafdb_->ts_oracle(), 512) {}
 
 Status Renamer::Start() {
   CFS_RETURN_IF_ERROR(group_->Start());
@@ -83,15 +84,7 @@ Status Renamer::Rename(const RenameRequest& req) {
   renames->Add();
   NodeId self = CoordinatorNetId();
   TxnId txn = next_txn_.fetch_add(1);
-  uint64_t ts = 0;
-  {
-    // One RPC to the time service for the LWW ordering timestamp.
-    Status st = net_->Call(self, tafdb_->ts_net_id(), [&]() -> Status {
-      ts = tafdb_->ts_oracle()->Next();
-      return Status::Ok();
-    });
-    if (!st.ok()) return st;
-  }
+  uint64_t ts = ts_cache_.Next();
 
   // 1. Coordinator-local locks over entries and parents, canonically
   //    ordered (LockAll sorts) — every normal-path rename is serialized
@@ -184,6 +177,34 @@ Status Renamer::Rename(const RenameRequest& req) {
     }
   }
 
+  // 3b. Step C, reparenting a moved directory's attribute record, runs
+  //     before the namespace changes and requires the record. An rmdir
+  //     that already retired the record wins (the rename fails); one that
+  //     retires it later and then loses its unlink to step A restores an
+  //     image that already names the new parent. Undone if a later step
+  //     fails.
+  auto reparent = [&](InodeId parent, uint64_t stamp, bool must_exist) {
+    PrimitiveOp op;
+    UpdateSpec upd;
+    upd.key = InodeKey::AttrRecord(src->id);
+    upd.lww.parent = parent;
+    upd.lww.ctime = stamp;
+    upd.lww.ts = stamp;
+    upd.must_exist = must_exist;
+    op.updates.push_back(upd);
+    TafDbShard* dir_shard = tafdb_->ShardFor(src->id);
+    return net_->Call(self, dir_shard->ServiceNetId(), [&] {
+      return dir_shard->ExecutePrimitive(op).status;
+    });
+  };
+  if (src_is_dir) {
+    CFS_RETURN_IF_ERROR(reparent(req.dst_parent, ts, /*must_exist=*/true));
+  }
+  // Best effort, with a fresh timestamp so it wins over the reparent.
+  auto undo_reparent = [&] {
+    if (src_is_dir) (void)reparent(req.src_parent, ts_cache_.Next(), false);
+  };
+
   // 4. Replacing an (empty) directory: atomically verify emptiness and
   //    retire its attribute record before touching the namespace, so no new
   //    children can appear under it mid-rename.
@@ -200,13 +221,19 @@ Status Renamer::Rename(const RenameRequest& req) {
     TafDbShard* dir_shard = tafdb_->ShardFor(dst->id);
     PrimitiveResult result;
     Status delivered = net_->BeginCall(self, dir_shard->ServiceNetId());
-    if (!delivered.ok()) return delivered;
+    if (!delivered.ok()) {
+      undo_reparent();
+      return delivered;
+    }
     // Direct-call site: attribute the retire primitive to the shard like
     // SimNet::Call would.
     trace::NodeScope node(net_->TraceNodeOf(dir_shard->ServiceNetId()));
     trace::ScopedSpan exec(trace::Category::kExec, "retire_dst");
     result = dir_shard->ExecutePrimitive(retire);
-    if (!result.status.ok()) return result.status;  // kNotEmpty and friends
+    if (!result.status.ok()) {  // kNotEmpty and friends
+      undo_reparent();
+      return result.status;
+    }
     if (!result.deleted_records.empty()) {
       retired_dst_attr = result.deleted_records.front();
     }
@@ -226,7 +253,6 @@ Status Renamer::Rename(const RenameRequest& req) {
   //   step B (dst shard): delete the observed dst entry (ifexist, hinted),
   //          insert the new dentry, parent fanout via auto delta; bumps
   //          dst_parent's epoch.
-  //   step C (moved directory): reparent its attribute record.
   //
   // If step B fails (a name appeared at dst concurrently), step A is
   // compensated by re-inserting the source dentry; if even that collides,
@@ -234,6 +260,10 @@ Status Renamer::Rename(const RenameRequest& req) {
   // attribute — the file is gone, a legal unlink serialization.
   Status commit_status;
   CacheInvalidation inv;
+  // The destination record step B actually deleted. A concurrent unlink or
+  // fast-path rename may have removed or moved it since the pre-read, and
+  // then its inode is not this rename's to release.
+  std::optional<InodeRecord> replaced;
   {
     // Step A.
     PrimitiveOp src_op;
@@ -252,7 +282,7 @@ Status Renamer::Rename(const RenameRequest& req) {
     TafDbShard* src_op_shard = tafdb_->ShardFor(req.src_parent);
     commit_status = net_->Call(self, src_op_shard->ServiceNetId(), [&] {
       PrimitiveResult result = src_op_shard->ExecutePrimitive(src_op);
-      inv.src_parent_epoch = result.epoch;
+      inv.src_parent_epoch = result.changes.epoch;
       return result.status;
     });
     if (!commit_status.ok() && retired_dst_attr.has_value()) {
@@ -265,6 +295,7 @@ Status Renamer::Rename(const RenameRequest& req) {
         return dir_shard->ExecutePrimitive(restore).status;
       });
     }
+    if (!commit_status.ok()) undo_reparent();
 
     // Step B.
     if (commit_status.ok()) {
@@ -291,7 +322,10 @@ Status Renamer::Rename(const RenameRequest& req) {
       TafDbShard* dst_op_shard = tafdb_->ShardFor(req.dst_parent);
       Status step_b = net_->Call(self, dst_op_shard->ServiceNetId(), [&] {
         PrimitiveResult result = dst_op_shard->ExecutePrimitive(dst_op);
-        inv.dst_parent_epoch = result.epoch;
+        inv.dst_parent_epoch = result.changes.epoch;
+        if (!result.deleted_records.empty()) {
+          replaced = result.deleted_records.front();
+        }
         return result.status;
       });
       if (!step_b.ok()) {
@@ -316,35 +350,20 @@ Status Renamer::Rename(const RenameRequest& req) {
         (void)net_->Call(self, src_op_shard->ServiceNetId(), [&] {
           return src_op_shard->ExecutePrimitive(undo).status;
         });
+        undo_reparent();
         commit_status = step_b;
       }
     }
 
-    // Step C.
-    if (commit_status.ok() && src_is_dir) {
-      PrimitiveOp reparent_op;
-      UpdateSpec reparent;
-      reparent.key = InodeKey::AttrRecord(src->id);
-      reparent.lww.parent = req.dst_parent;
-      reparent.lww.ctime = ts;
-      reparent.lww.ts = ts;
-      reparent.must_exist = false;
-      reparent_op.updates.push_back(reparent);
-      TafDbShard* dir_shard = tafdb_->ShardFor(src->id);
-      (void)net_->Call(self, dir_shard->ServiceNetId(), [&] {
-        return dir_shard->ExecutePrimitive(reparent_op).status;
-      });
-    }
-
     // Replaced file attribute in the non-tiered layout.
-    if (commit_status.ok() && dst_exists &&
-        dst->type != InodeType::kDirectory && filestore_ == nullptr) {
+    if (commit_status.ok() && replaced.has_value() &&
+        replaced->type != InodeType::kDirectory && filestore_ == nullptr) {
       PrimitiveOp retire;
       DeleteSpec del;
-      del.key = InodeKey::AttrRecord(dst->id);
+      del.key = InodeKey::AttrRecord(replaced->id);
       del.ifexist = true;
       retire.deletes.push_back(del);
-      TafDbShard* attr_shard = tafdb_->ShardFor(dst->id);
+      TafDbShard* attr_shard = tafdb_->ShardFor(replaced->id);
       (void)net_->Call(self, attr_shard->ServiceNetId(), [&] {
         return attr_shard->ExecutePrimitive(retire).status;
       });
@@ -367,14 +386,13 @@ Status Renamer::Rename(const RenameRequest& req) {
   if (!commit_status.ok()) return commit_status;
 
   // 7. Post-commit: name what moved. Steps A and B bumped both parents'
-  //    epochs in apply and returned them, so client engines detect their
-  //    cached dentries as stale on first touch.
+  //    epochs in apply and returned them, so client engines drop exactly
+  //    the moved names.
   inv.src_path = req.src_path;
   inv.dst_path = req.dst_path;
   inv.subtree = src_is_dir;
   inv.src_parent = req.src_parent;
   inv.dst_parent = req.dst_parent;
-  inv.origin = req.origin;
 
   // 8. Eager cluster-wide invalidation: one synchronous SimNet fan-out to
   //    every client engine before the rename returns. Directory moves drop
@@ -390,9 +408,9 @@ Status Renamer::Rename(const RenameRequest& req) {
 
   // 9. Replaced file attributes in FileStore are orphaned by design
   //    (deterministic ordering, Fig 7) and reclaimed asynchronously.
-  if (dst_exists && dst->type != InodeType::kDirectory &&
+  if (replaced.has_value() && replaced->type != InodeType::kDirectory &&
       options_.tiered_attrs && filestore_ != nullptr) {
-    filestore_->UnrefAsync(dst->id);
+    filestore_->UnrefAsync(replaced->id);
   }
   return Status::Ok();
 }

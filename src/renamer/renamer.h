@@ -37,6 +37,7 @@
 #include "src/raft/raft.h"
 #include "src/tafdb/tafdb.h"
 #include "src/txn/lock_manager.h"
+#include "src/txn/timestamp_oracle.h"
 #include "src/txn/two_phase_commit.h"
 
 namespace cfs {
@@ -46,22 +47,20 @@ struct RenameRequest {
   std::string src_name;
   InodeId dst_parent = kInvalidInode;
   std::string dst_name;
-  // Full client-visible paths, carried so the post-commit invalidation
-  // broadcast can name what moved (client dentry caches key by path). May
-  // be empty when the caller has no cache to keep coherent (tests, tools);
-  // the broadcast then only publishes the parents' new epochs.
+  // Full normalized client-visible paths, carried so the post-commit
+  // invalidation broadcast can name what moved (client dentry caches key by
+  // path). May be empty when the caller has no cache to keep coherent
+  // (tests, tools); receivers then fully invalidate both parents.
   std::string src_path;
   std::string dst_path;
-  // The client engine that issued the rename (kInvalidNode if none); it
-  // receives the broadcast as its own mutation.
-  NodeId origin = kInvalidNode;
 };
 
 // Post-commit cache invalidation, broadcast to every client engine after a
 // normal-path rename: the exact paths that moved (whole subtrees when a
 // directory moved) plus the epochs the rename's primitives left on both
-// parents, so receivers refresh their views instead of waiting out the
-// epoch TTL.
+// parents. Each parent's epoch moved by exactly one bump, which touched
+// only the moved path's final component, so receivers drop just that name
+// instead of waiting out the epoch TTL.
 struct CacheInvalidation {
   std::string src_path;
   std::string dst_path;
@@ -70,7 +69,6 @@ struct CacheInvalidation {
   uint64_t src_parent_epoch = 0;
   InodeId dst_parent = kInvalidInode;
   uint64_t dst_parent_epoch = 0;
-  NodeId origin = kInvalidNode;  // RenameRequest::origin
 };
 
 struct RenamerOptions {
@@ -132,9 +130,11 @@ class Renamer {
   FileStoreCluster* filestore_;
   // tsa-coverage: allow(immutable after construction)
   RenamerOptions options_;
-  // Leader election only; built by Start() before any rename is routed.
-  // tsa-coverage: allow(start/stop lifecycle only)
+  // Leader election only; built by the constructor.
+  // tsa-coverage: allow(immutable after construction)
   std::unique_ptr<RaftGroup> group_;
+  // LWW timestamps, fetched from the oracle in batches like an engine's.
+  TimestampCache ts_cache_;  // tsa-coverage: allow(internally synchronized)
   // Coordinator-local directory locks, deliberately held across the rename
   // transaction's network round trips — the one CFS component the paper
   // exempts from the pruned-scope rule, so its scope class is

@@ -131,6 +131,7 @@ std::string PrimitiveOp::Encode() const {
     PutVarint64(&out, u.lww.ts);
   }
   PutVarint64(&out, epoch_dir);
+  PutVarint64(&out, epoch_since);
   return out;
 }
 
@@ -229,7 +230,9 @@ StatusOr<PrimitiveOp> PrimitiveOp::Decode(std::string_view data) {
     if (!dec.GetVarint64(&u.lww.ts)) return fail();
     op.updates.push_back(std::move(u));
   }
-  if (!dec.GetVarint64(&op.epoch_dir)) return fail();
+  if (!dec.GetVarint64(&op.epoch_dir) || !dec.GetVarint64(&op.epoch_since)) {
+    return fail();
+  }
   return op;
 }
 
@@ -242,7 +245,11 @@ std::string PrimitiveResult::Encode() const {
   for (const auto& rec : deleted_records) {
     PutRecord(&out, rec);
   }
-  PutVarint64(&out, epoch);
+  PutVarint64(&out, changes.since);
+  PutVarint64(&out, changes.epoch);
+  out.push_back(changes.covered ? 1 : 0);
+  PutVarint64(&out, changes.names.size());
+  for (const auto& name : changes.names) PutLengthPrefixed(&out, name);
   return out;
 }
 
@@ -267,7 +274,19 @@ PrimitiveResult PrimitiveResult::Decode(std::string_view data) {
       r.deleted_records.push_back(std::move(rec));
     }
   }
-  (void)dec.GetVarint64(&r.epoch);
+  DirChanges& c = r.changes;
+  if (dec.GetVarint64(&c.since) && dec.GetVarint64(&c.epoch) &&
+      dec.remaining() >= 1) {
+    c.covered = dec.rest()[0] != 0;
+    dec = Decoder(dec.rest().substr(1));
+    if (dec.GetVarint64(&n)) {
+      for (uint64_t i = 0; i < n; i++) {
+        std::string name;
+        if (!dec.GetLengthPrefixed(&name)) break;
+        c.names.push_back(std::move(name));
+      }
+    }
+  }
   return r;
 }
 

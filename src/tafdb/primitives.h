@@ -110,8 +110,12 @@ struct PrimitiveOp {
   std::vector<UpdateSpec> updates;
   // Directory whose mutation epoch (client dentry-cache coherence, DESIGN.md
   // §8) this op bumps when it applies successfully. The bump happens in the
-  // shard's raft apply, so it is ordered with the mutation on every replica.
+  // shard's raft apply, so it is ordered with the mutation on every replica,
+  // and journals the names of the epoch_dir dentries the op touched.
   InodeId epoch_dir = kInvalidInode;
+  // The issuer's view of epoch_dir's epoch: the result carries the
+  // directory's changes since this epoch (PrimitiveResult::changes).
+  uint64_t epoch_since = 0;
 
   bool empty() const {
     return checks.empty() && deletes.empty() && inserts.empty() &&
@@ -136,6 +140,18 @@ struct PrimitiveOp {
                                                std::vector<Predicate> checks);
 };
 
+// A slice of one directory's change journal: the names of the dentries the
+// bumps in (since, epoch] touched. `covered` is false when the journal no
+// longer reaches back to `since` (trimmed, cleared by a bump that named no
+// dentry, or restored from a snapshot); `names` is then empty and only
+// `epoch` is meaningful.
+struct DirChanges {
+  uint64_t since = 0;
+  uint64_t epoch = 0;
+  bool covered = false;
+  std::vector<std::string> names;
+};
+
 struct PrimitiveResult {
   Status status;
   int64_t deleted = 0;  // records actually deleted (rename's auto delta)
@@ -143,9 +159,10 @@ struct PrimitiveResult {
   // operations (rmdir, normal-path rename) use these to restore state
   // exactly when a later step loses a race (compensation).
   std::vector<InodeRecord> deleted_records;
-  // The op's epoch_dir epoch after its bump; 0 when the op names no
-  // epoch_dir or failed.
-  uint64_t epoch = 0;
+  // epoch_dir's changes since the op's epoch_since, read right after the
+  // op's own bump (so changes.epoch is the bumped epoch); all zero when the
+  // op names no epoch_dir or failed.
+  DirChanges changes;
 
   std::string Encode() const;
   static PrimitiveResult Decode(std::string_view data);

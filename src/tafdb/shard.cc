@@ -1,5 +1,7 @@
 #include "src/tafdb/shard.h"
 
+#include <algorithm>
+
 #include "src/common/encoding.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -115,19 +117,64 @@ std::string TafDbShardSm::Apply(LogIndex, std::string_view command) {
 
 PrimitiveResult TafDbShardSm::ApplyOp(const PrimitiveOp& op) {
   PrimitiveResult result = ExecutePrimitive(op, &kv_);
-  if (result.status.ok() && op.epoch_dir != kInvalidInode) {
-    WriterMutexLock lock(epoch_mu_);
-    CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
-    result.epoch = ++dir_epochs_[op.epoch_dir];
+  if (!result.status.ok() || op.epoch_dir == kInvalidInode) return result;
+  // The names this bump touched: the op's own dentries under epoch_dir.
+  std::vector<std::string> names;
+  auto touch = [&](const InodeKey& key) {
+    if (key.kid != op.epoch_dir || key.IsAttr()) return;
+    if (std::find(names.begin(), names.end(), key.kstr) == names.end()) {
+      names.push_back(key.kstr);
+    }
+  };
+  for (const auto& del : op.deletes) touch(del.key);
+  for (const auto& ins : op.inserts) touch(ins.key);
+  for (const auto& put : op.puts) touch(put.key);
+
+  WriterMutexLock lock(epoch_mu_);
+  CFS_SHARED_WRITE(dirs_, epoch_mu_);
+  DirJournal& journal = dirs_[op.epoch_dir];
+  journal.epoch++;
+  if (names.empty()) {
+    // A bump that names no dentry (directory setattr) could have changed
+    // anything cached under the directory: nothing before it is covered.
+    journal.bumps.clear();
+    journal.floor = journal.epoch;
+  } else {
+    journal.bumps.emplace_back(journal.epoch, std::move(names));
+    if (journal.bumps.size() > kJournalDepth) {
+      journal.floor = journal.bumps.front().first;
+      journal.bumps.pop_front();
+    }
   }
+  result.changes = ChangesSinceLocked(journal, op.epoch_since);
   return result;
 }
 
-uint64_t TafDbShardSm::DirEpoch(InodeId dir) const {
+DirChanges TafDbShardSm::ChangesSinceLocked(const DirJournal& journal,
+                                            uint64_t since) const {
+  DirChanges out;
+  out.since = since;
+  out.epoch = journal.epoch;
+  out.covered = since >= journal.floor && since <= journal.epoch;
+  if (!out.covered) return out;
+  for (auto it = journal.bumps.rbegin();
+       it != journal.bumps.rend() && it->first > since; ++it) {
+    for (const std::string& name : it->second) {
+      if (std::find(out.names.begin(), out.names.end(), name) ==
+          out.names.end()) {
+        out.names.push_back(name);
+      }
+    }
+  }
+  return out;
+}
+
+DirChanges TafDbShardSm::DirChangesSince(InodeId dir, uint64_t since) const {
   ReaderMutexLock lock(epoch_mu_);
-  CFS_SHARED_READ(dir_epochs_, epoch_mu_);
-  auto it = dir_epochs_.find(dir);
-  return it == dir_epochs_.end() ? 0 : it->second;
+  CFS_SHARED_READ(dirs_, epoch_mu_);
+  auto it = dirs_.find(dir);
+  return ChangesSinceLocked(it == dirs_.end() ? DirJournal() : it->second,
+                            since);
 }
 
 std::string TafDbShardSm::Snapshot() {
@@ -149,11 +196,11 @@ std::string TafDbShardSm::Snapshot() {
     PutLengthPrefixed(&out, applied_requests_[id]);
   }
   ReaderMutexLock lock(epoch_mu_);
-  CFS_SHARED_READ(dir_epochs_, epoch_mu_);
-  PutVarint64(&out, dir_epochs_.size());
-  for (const auto& [dir, epoch] : dir_epochs_) {
+  CFS_SHARED_READ(dirs_, epoch_mu_);
+  PutVarint64(&out, dirs_.size());
+  for (const auto& [dir, journal] : dirs_) {
     PutVarint64(&out, dir);
-    PutVarint64(&out, epoch);
+    PutVarint64(&out, journal.epoch);
   }
   return out;
 }
@@ -203,14 +250,16 @@ Status TafDbShardSm::Restore(std::string_view state) {
   uint64_t epochs;
   if (!dec.GetVarint64(&epochs)) return Status::Corruption("snapshot epochs");
   WriterMutexLock lock(epoch_mu_);
-  CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
-  dir_epochs_.clear();
+  CFS_SHARED_WRITE(dirs_, epoch_mu_);
+  dirs_.clear();
   for (uint64_t i = 0; i < epochs; i++) {
     uint64_t dir, epoch;
     if (!dec.GetVarint64(&dir) || !dec.GetVarint64(&epoch)) {
       return Status::Corruption("snapshot epochs truncated");
     }
-    dir_epochs_[dir] = epoch;
+    DirJournal& journal = dirs_[dir];
+    journal.epoch = epoch;
+    journal.floor = epoch;
   }
   return Status::Ok();
 }
@@ -315,8 +364,8 @@ StatusOr<std::vector<InodeRecord>> TafDbShard::ScanDir(
   return out;
 }
 
-uint64_t TafDbShard::DirEpoch(InodeId dir) const {
-  return LeaderSm()->DirEpoch(dir);
+DirChanges TafDbShard::DirChangesSince(InodeId dir, uint64_t since) const {
+  return LeaderSm()->DirChangesSince(dir, since);
 }
 
 PrimitiveResult TafDbShard::CommitLocal(const PrimitiveOp& write_set) {

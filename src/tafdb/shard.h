@@ -72,16 +72,31 @@ class TafDbShardSm : public StateMachine {
   const KvStore& kv() const { return kv_; }
   KvStore* mutable_kv() { return &kv_; }
 
-  // A directory's mutation epoch: the number of applied ops that named it
-  // as their PrimitiveOp::epoch_dir (0 if none). Client engines tag cached
-  // dentries with the epoch observed alongside the data and treat a newer
-  // epoch as staleness (DESIGN.md §8). Bumped in apply, so every replica
-  // holds the same value at the same log index.
-  uint64_t DirEpoch(InodeId dir) const;
+  // How many bumps each directory's journal keeps.
+  static constexpr size_t kJournalDepth = 64;
+
+  // A directory's mutation epoch is the number of applied ops that named
+  // it as their PrimitiveOp::epoch_dir (0 if none); bumped in apply, so
+  // every replica holds the same value at the same log index. Next to it,
+  // a journal of the last kJournalDepth bumps records the dentry names
+  // each one touched. Returns the names touched by the bumps in
+  // (since, epoch], or covered=false when the journal does not reach back
+  // to `since` (DESIGN.md §8). Client engines use the slice to drop only
+  // the cached dentries that changed.
+  DirChanges DirChangesSince(InodeId dir, uint64_t since) const;
 
  private:
-  // Executes `op` and, if it succeeded, bumps its epoch_dir.
+  // Bumps in (floor, epoch] are journaled, oldest first.
+  struct DirJournal {
+    uint64_t epoch = 0;
+    uint64_t floor = 0;
+    std::deque<std::pair<uint64_t, std::vector<std::string>>> bumps;
+  };
+
+  // Executes `op` and, if it succeeded, bumps and journals its epoch_dir.
   PrimitiveResult ApplyOp(const PrimitiveOp& op);
+  DirChanges ChangesSinceLocked(const DirJournal& journal, uint64_t since)
+      const REQUIRES_SHARED(epoch_mu_);
 
   KvStore kv_;  // tsa-coverage: allow(internally synchronized)
   // Apply, Snapshot and Restore are serialized by the raft node.
@@ -92,9 +107,10 @@ class TafDbShardSm : public StateMachine {
   std::map<uint64_t, std::string> applied_requests_;
   std::deque<uint64_t> applied_order_;  // tsa-coverage: allow(raft apply only)
   // Written only by apply (under raft.node); read by leader-served epoch
-  // reads on client threads. Leaf.
+  // reads on client threads. Leaf. Only the epochs are snapshotted: a
+  // restored replica starts every journal empty, with floor = epoch.
   mutable SharedMutex epoch_mu_{"tafdb.epoch", 63};
-  std::unordered_map<InodeId, uint64_t> dir_epochs_ GUARDED_BY(epoch_mu_);
+  std::unordered_map<InodeId, DirJournal> dirs_ GUARDED_BY(epoch_mu_);
 };
 
 struct TafDbShardOptions {
@@ -157,10 +173,11 @@ class TafDbShard : public TxnParticipant {
   NodeId ParticipantNetId() const override { return ServiceNetId(); }
 
   // ---- directory epochs (client dentry caches) ----
-  // Leader-served read of TafDbShardSm::DirEpoch for a directory whose
-  // entry list this shard owns (same kID routing as its id records).
-  // Mutations bump it by naming the directory in PrimitiveOp::epoch_dir.
-  uint64_t DirEpoch(InodeId dir) const;
+  // Leader-served read of TafDbShardSm::DirChangesSince for a directory
+  // whose entry list this shard owns (same kID routing as its id records).
+  // Mutations bump the epoch by naming the directory in
+  // PrimitiveOp::epoch_dir.
+  DirChanges DirChangesSince(InodeId dir, uint64_t since) const;
 
   // ---- GC change capture ----
   std::vector<std::pair<LogIndex, ShardCommand>> ReadCommittedSince(

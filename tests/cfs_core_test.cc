@@ -643,7 +643,7 @@ TEST_F(CfsFullTest, CoherenceOwnRenameKeepsCacheWarm) {
   EXPECT_EQ(reads->value() - before, 0u);
 
   // Normal-path renames come back through the Renamer's broadcast, which
-  // names this engine as its origin: its cached siblings survive too.
+  // names only the moved entry: the cached siblings survive too.
   ASSERT_TRUE(client_->Mkdir("/rd", 0755).ok());
   ASSERT_TRUE(client_->GetAttr("/rd").ok());
   ASSERT_TRUE(client_->Rename("/rc/b", "/rd/b").ok());
@@ -653,8 +653,9 @@ TEST_F(CfsFullTest, CoherenceOwnRenameKeepsCacheWarm) {
 }
 
 // Engines A and B unlink different names in one directory, B first. A's
-// own unlink then returns A's view + 2, so A must not fast-forward: its
-// cached entry for B's name is stale and the next lookup misses.
+// own unlink returns the directory's journal since A's view, which names
+// both unlinks: A erases its entries for both names instead of dropping
+// them as stale, and B's name resolves to ENOENT from A.
 TEST_F(CfsFullTest, CoherenceInterleavedUnlinksInvalidateSiblings) {
   ASSERT_TRUE(client_->Mkdir("/u", 0755).ok());
   ASSERT_TRUE(client_->Create("/u/a", 0644).ok());
@@ -666,11 +667,33 @@ TEST_F(CfsFullTest, CoherenceInterleavedUnlinksInvalidateSiblings) {
 
   auto other = fs_->NewClient();
   ASSERT_TRUE(other->Unlink("/u/b").ok());
+  DentryCache::Stats before = engine->dentry_cache().stats();
   ASSERT_TRUE(client_->Unlink("/u/a").ok());
+  DentryCache::Stats after = engine->dentry_cache().stats();
+  EXPECT_EQ(after.journal_drops - before.journal_drops, 2u);
 
-  uint64_t stale = engine->dentry_cache().stats().stale_drops;
   EXPECT_TRUE(client_->GetAttr("/u/b").status().IsNotFound());
-  EXPECT_EQ(engine->dentry_cache().stats().stale_drops - stale, 1u);
+  EXPECT_EQ(engine->dentry_cache().stats().stale_drops, after.stale_drops);
+}
+
+// B unlinks x in a shared directory, then A unlinks its own y. A's reply
+// names x and y, so A keeps serving its cached z from the cache, and x is
+// gone from A's view of the directory.
+TEST_F(CfsFullTest, CoherenceRemoteUnlinkKeepsUnnamedSiblings) {
+  ASSERT_TRUE(client_->Mkdir("/s", 0755).ok());
+  for (const char* name : {"/s/x", "/s/y", "/s/z"}) {
+    ASSERT_TRUE(client_->Create(name, 0644).ok());
+    ASSERT_TRUE(client_->GetAttr(name).ok());  // warm A's cache
+  }
+  auto other = fs_->NewClient();
+  ASSERT_TRUE(other->Unlink("/s/x").ok());
+  ASSERT_TRUE(client_->Unlink("/s/y").ok());
+
+  Counter* reads = MetricsRegistry::Global().GetCounter("tafdb.reads");
+  uint64_t before = reads->value();
+  EXPECT_TRUE(client_->GetAttr("/s/z").ok());
+  EXPECT_EQ(reads->value() - before, 0u);
+  EXPECT_TRUE(client_->GetAttr("/s/x").status().IsNotFound());
 }
 
 // Engine A renames; engine B (with a warm cache) must observe the new

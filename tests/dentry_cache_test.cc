@@ -223,54 +223,79 @@ TEST(DentryCacheTest, FillTaggedOlderThanViewIsStaleNotFresh) {
   EXPECT_EQ(cache.stats().stale_drops, 1u);
 }
 
-// An own mutation that returns view + 1 was the only change to the
-// directory: the view fast-forwards and the siblings cached under the old
-// epoch keep serving. The engine erases the name it mutated itself.
-TEST(DentryCacheTest, OwnEpochViewPlusOneKeepsCachedSiblings) {
+DirChanges Slice(uint64_t since, uint64_t epoch, bool covered,
+                 std::vector<std::string> names = {}) {
+  DirChanges changes;
+  changes.since = since;
+  changes.epoch = epoch;
+  changes.covered = covered;
+  changes.names = std::move(names);
+  return changes;
+}
+
+// A covered slice starting at or below the view names everything that
+// changed since: the named entries go, the unnamed siblings keep serving,
+// and the view advances.
+TEST(DentryCacheTest, CoveredSliceKeepsUnnamedSiblings) {
   ManualClock clock;
   DentryCache cache(SmallOptions(), &clock);
   cache.ObserveDirEpoch(kDir, 3);
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/3);
   cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/3);
+  cache.PutNegative("/d/n", kDir, /*epoch=*/3);
 
-  cache.ObserveOwnEpoch(kDir, 4);
-  cache.Erase("/d/a");
-  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 4u);
+  cache.ObserveDirChanges(kDir, "/d", Slice(3, 5, true, {"a", "n", "zz"}));
+  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 5u);
+  EXPECT_EQ(cache.stats().journal_drops, 2u);  // "/d/zz" was not cached
   EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kHit);
   EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kMiss);
+  EXPECT_EQ(cache.Lookup("/d/n", kDir).outcome, Outcome::kMiss);
   // Fills tagged with the new epoch serve alongside the old siblings.
-  cache.PutPositive("/d/c", kDir, 44, InodeType::kFile, /*epoch=*/4);
+  cache.PutPositive("/d/c", kDir, 44, InodeType::kFile, /*epoch=*/5);
   EXPECT_EQ(cache.Lookup("/d/c", kDir).outcome, Outcome::kHit);
   EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kHit);
   EXPECT_EQ(cache.stats().stale_drops, 0u);
+
+  // Entries directly under the root are keyed "/name".
+  cache.ObserveDirEpoch(kRootInode, 1);
+  cache.PutPositive("/r", kRootInode, 45, InodeType::kFile, /*epoch=*/1);
+  cache.ObserveDirChanges(kRootInode, "/", Slice(1, 2, true, {"r"}));
+  EXPECT_EQ(cache.Lookup("/r", kRootInode).outcome, Outcome::kMiss);
+  EXPECT_EQ(cache.stats().journal_drops, 3u);
 }
 
-// view + 2 means some other engine also mutated the directory in between:
-// every sibling may be stale, so the own observation invalidates them.
-TEST(DentryCacheTest, OwnEpochViewPlusTwoInvalidatesSiblings) {
+// A slice that starts above the view (changes in between are unknown) or
+// is not covered (the journal no longer reaches back) moves the whole
+// view: every sibling may be stale.
+TEST(DentryCacheTest, UncoveredSliceInvalidatesSiblings) {
   ManualClock clock;
   DentryCache cache(SmallOptions(), &clock);
   cache.ObserveDirEpoch(kDir, 3);
   cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/3);
-
-  cache.ObserveOwnEpoch(kDir, 5);
+  cache.ObserveDirChanges(kDir, "/d", Slice(4, 5, true, {"a"}));
   EXPECT_EQ(cache.ObservedDirEpoch(kDir), 5u);
   EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kMiss);
   EXPECT_EQ(cache.stats().stale_drops, 1u);
+
+  cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/5);
+  cache.ObserveDirChanges(kDir, "/d", Slice(5, 6, false));
+  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 6u);
+  EXPECT_EQ(cache.Lookup("/d/b", kDir).outcome, Outcome::kMiss);
+  EXPECT_EQ(cache.stats().stale_drops, 2u);
+  EXPECT_EQ(cache.stats().journal_drops, 0u);
 }
 
-// A resolve read "/d/a" at epoch 3; this engine's own rename of "/d/a"
-// then committed (epoch 4) and fast-forwarded the view. The in-flight fill
-// carries pre-rename data tagged 3 and must be refused, even though
-// entries already cached under epoch 3 stay valid.
-TEST(DentryCacheTest, PreMutationFillAfterOwnFastForwardIsRefused) {
+// A resolve read "/d/a" at epoch 3; a covered slice naming "/d/a" then
+// advanced the view to 4. The in-flight fill carries data tagged 3 and
+// must be refused, even though entries already cached under epoch 3 stay
+// valid.
+TEST(DentryCacheTest, FillTaggedBelowAdvancedViewIsRefused) {
   ManualClock clock;
   DentryCache cache(SmallOptions(), &clock);
   cache.ObserveDirEpoch(kDir, 3);
   cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/3);
   // ... dentry read of /d/a happens here, piggybacking epoch 3 ...
-  cache.ObserveOwnEpoch(kDir, 4);
-  cache.Erase("/d/a");
+  cache.ObserveDirChanges(kDir, "/d", Slice(3, 4, true, {"a"}));
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/3);
 
   EXPECT_EQ(cache.stats().stale_drops, 1u);
@@ -283,12 +308,14 @@ TEST(DentryCacheTest, LookupValidatedRefreshesAgedViewAndServesHit) {
   DentryCache cache(SmallOptions(), &clock);  // epoch_ttl_ms = 100
   cache.ObserveDirEpoch(kDir, 5);
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/5);
+  cache.PutPositive("/d/b", kDir, 43, InodeType::kFile, /*epoch=*/5);
   clock.AdvanceMicros(101 * 1000);
 
   int refreshes = 0;
-  auto refresh = [&](uint64_t* epoch) {
+  auto refresh = [&](uint64_t since, DirChanges* changes) {
     refreshes++;
-    *epoch = 5;  // unchanged on the shard
+    EXPECT_EQ(since, 5u);
+    *changes = Slice(since, 6, true, {"b"});  // only a sibling changed
     return true;
   };
   auto result = cache.LookupValidated("/d/a", kDir, refresh);
@@ -299,6 +326,7 @@ TEST(DentryCacheTest, LookupValidatedRefreshesAgedViewAndServesHit) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(cache.stats().revalidations, 1u);
+  EXPECT_EQ(cache.stats().journal_drops, 1u);  // "/d/b"
 }
 
 // With epoch_ttl_ms <= 0 every hit revalidates — but the revalidated retry
@@ -312,8 +340,8 @@ TEST(DentryCacheTest, ZeroEpochTtlRevalidatesEveryHitButStillServes) {
   cache.ObserveDirEpoch(kDir, 1);
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/1);
 
-  auto refresh = [](uint64_t* epoch) {
-    *epoch = 1;
+  auto refresh = [](uint64_t since, DirChanges* changes) {
+    *changes = Slice(since, 1, true);
     return true;
   };
   EXPECT_EQ(cache.LookupValidated("/d/a", kDir, refresh).outcome,
@@ -331,14 +359,25 @@ TEST(DentryCacheTest, LookupValidatedRefreshSurfacingBumpDropsEntry) {
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/5);
   clock.AdvanceMicros(101 * 1000);
 
-  auto refresh = [](uint64_t* epoch) {
-    *epoch = 6;  // a mutation happened since the fill
+  auto refresh = [](uint64_t since, DirChanges* changes) {
+    *changes = Slice(since, 6, true, {"a"});  // "/d/a" changed since the fill
     return true;
   };
   EXPECT_EQ(cache.LookupValidated("/d/a", kDir, refresh).outcome,
             Outcome::kMiss);
-  EXPECT_EQ(cache.stats().stale_drops, 1u);
+  EXPECT_EQ(cache.stats().journal_drops, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
+
+  // Without a covering journal the refresh drops the entry as stale.
+  cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/6);
+  clock.AdvanceMicros(101 * 1000);
+  auto uncovered = [](uint64_t since, DirChanges* changes) {
+    *changes = Slice(since, 7, false);
+    return true;
+  };
+  EXPECT_EQ(cache.LookupValidated("/d/a", kDir, uncovered).outcome,
+            Outcome::kMiss);
+  EXPECT_EQ(cache.stats().stale_drops, 1u);
 }
 
 TEST(DentryCacheTest, LookupValidatedUnreachableShardIsMiss) {
@@ -348,7 +387,7 @@ TEST(DentryCacheTest, LookupValidatedUnreachableShardIsMiss) {
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/5);
   clock.AdvanceMicros(101 * 1000);
 
-  auto refresh = [](uint64_t*) { return false; };
+  auto refresh = [](uint64_t, DirChanges*) { return false; };
   EXPECT_EQ(cache.LookupValidated("/d/a", kDir, refresh).outcome,
             Outcome::kMiss);
   // The entry itself was not dropped — it may serve once the view can be
@@ -367,8 +406,8 @@ TEST(DentryCacheTest, OneTerminalOutcomePerLogicalLookup) {
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/1);
   cache.PutNegative("/d/gone", kDir, /*epoch=*/1);
 
-  auto refresh = [](uint64_t* epoch) {
-    *epoch = 1;
+  auto refresh = [](uint64_t since, DirChanges* changes) {
+    *changes = Slice(since, 1, true);
     return true;
   };
   constexpr uint64_t kLookups = 12;

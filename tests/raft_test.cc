@@ -141,6 +141,63 @@ TEST(RaftTest, FollowerFailureDoesNotBlockCommit) {
   ASSERT_TRUE(result.ok()) << result.status();
 }
 
+// The leader counts toward a majority only once its own WAL append has
+// returned. With one follower down, every commit needs the leader's vote,
+// so no entry may commit (or apply) sooner than the leader's fsync delay
+// after it was proposed — even when the down follower's replicator is the
+// one appending it while the live follower's replicator ships it.
+//
+// Each round proposes a pair: the live follower's replicator takes the
+// first and sits in its fsync when the second arrives, so the down
+// follower's replicator (retrying every millisecond) appends the second.
+// Nothing else is proposed until both commit, so the live replicator then
+// ships the second while that append is still in flight.
+TEST(RaftTest, LeaderCountsTowardCommitOnlyAfterItsWalAppend) {
+  constexpr int64_t kFsyncUs = 40000;
+  SimNet net;  // zero latency: the fsync dominates every round trip
+  RecordingSm sms[3];
+  std::vector<std::unique_ptr<RaftNode>> nodes;
+  for (uint32_t i = 0; i < 3; i++) {
+    RaftOptions options = FastRaft();
+    if (i == 0) options.wal.fsync_delay_us = kFsyncUs;
+    nodes.push_back(std::make_unique<RaftNode>(
+        i, net.AddNode("durable-r" + std::to_string(i), i), &net, &sms[i],
+        options));
+  }
+  for (uint32_t i = 0; i < 3; i++) {
+    std::vector<RaftPeer> peers;
+    for (uint32_t j = 0; j < 3; j++) {
+      if (j != i) peers.push_back({j, nodes[j]->net_id(), nodes[j].get()});
+    }
+    nodes[i]->SetPeers(std::move(peers));
+  }
+  net.SetNodeDown(nodes[2]->net_id(), true);
+  ASSERT_TRUE(nodes[0]->Start().ok());
+  ASSERT_TRUE(nodes[1]->Start().ok());
+  // No ticker drives these nodes, so node 0 is the only candidate.
+  nodes[0]->StartElection();
+  ASSERT_TRUE(nodes[0]->IsLeader());
+
+  using Clock = std::chrono::steady_clock;
+  for (int round = 0; round < 4; round++) {
+    Clock::time_point proposed[2];
+    std::future<StatusOr<std::string>> futures[2];
+    for (int i = 0; i < 2; i++) {
+      if (i > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(kFsyncUs / 4));
+      }
+      proposed[i] = Clock::now();
+      futures[i] = nodes[0]->Propose("p" + std::to_string(round * 2 + i));
+    }
+    for (int i = 0; i < 2; i++) {
+      ASSERT_TRUE(futures[i].get().ok());
+      auto latency = std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::now() - proposed[i]);
+      EXPECT_GE(latency.count(), kFsyncUs) << "round " << round << " #" << i;
+    }
+  }
+}
+
 TEST(RaftTest, LeaderFailoverElectsNewLeaderAndServes) {
   Cluster c;
   ASSERT_TRUE(c.group->Start().ok());

@@ -408,51 +408,204 @@ TEST(PrimitiveCodecTest, ResultRoundTrip) {
   r.deleted = 3;
   r.deleted_records.push_back(
       InodeRecord::MakeIdRecord(5, "gone", 9, InodeType::kFile));
-  r.epoch = 7;
+  r.changes.since = 5;
+  r.changes.epoch = 7;
+  r.changes.covered = true;
+  r.changes.names = {"a", "b"};
   auto decoded = PrimitiveResult::Decode(r.Encode());
   EXPECT_EQ(decoded.status.code(), ErrorCode::kNotEmpty);
   EXPECT_EQ(decoded.status.message(), "dir");
   EXPECT_EQ(decoded.deleted, 3);
   ASSERT_EQ(decoded.deleted_records.size(), 1u);
   EXPECT_EQ(decoded.deleted_records[0].id, 9u);
-  EXPECT_EQ(decoded.epoch, 7u);
+  EXPECT_EQ(decoded.changes.since, 5u);
+  EXPECT_EQ(decoded.changes.epoch, 7u);
+  EXPECT_TRUE(decoded.changes.covered);
+  EXPECT_EQ(decoded.changes.names, (std::vector<std::string>{"a", "b"}));
 }
+
+// Applies shard commands to a bare state machine, one request id each.
+class ShardSmHarness {
+ public:
+  ShardSmHarness() : sm_(Kv()) {
+    PrimitiveOp mkdir;
+    mkdir.inserts.push_back(InodeRecord::MakeDirAttr(kDir, 1, 0755, 0, 0));
+    EXPECT_TRUE(Apply(mkdir).status.ok());
+  }
+
+  static constexpr InodeId kDir = 10;
+
+  static KvOptions Kv() {
+    KvOptions kv;
+    kv.use_wal = false;
+    return kv;
+  }
+
+  PrimitiveResult Apply(const PrimitiveOp& op) { return Apply(++seq_, op); }
+  PrimitiveResult Apply(uint64_t request_id, const PrimitiveOp& op) {
+    ShardCommand cmd;
+    cmd.request_id = request_id;
+    cmd.op = op;
+    return PrimitiveResult::Decode(sm_.Apply(request_id, cmd.Encode()));
+  }
+
+  // A change to kDir: creates `name` (or unlinks it) and names kDir as the
+  // op's epoch_dir.
+  PrimitiveResult Create(const std::string& name, uint64_t since = 0) {
+    PrimitiveOp op;
+    op.inserts.push_back(
+        InodeRecord::MakeIdRecord(kDir, name, 100, InodeType::kFile));
+    op.epoch_dir = kDir;
+    op.epoch_since = since;
+    return Apply(op);
+  }
+  PrimitiveResult Unlink(const std::string& name, uint64_t since = 0) {
+    DeleteSpec del;
+    del.key = InodeKey::IdRecord(kDir, name);
+    UpdateSpec upd;
+    upd.key = InodeKey::AttrRecord(kDir);
+    auto op = PrimitiveOp::DeleteWithUpdate(del, upd);
+    op.epoch_dir = kDir;
+    op.epoch_since = since;
+    return Apply(op);
+  }
+
+  TafDbShardSm& sm() { return sm_; }
+
+ private:
+  TafDbShardSm sm_;
+  uint64_t seq_ = 1000;
+};
 
 // Directory epochs are shard state: bumped in apply only when the op
 // succeeds, replayed (not bumped again) for a retried request id, and
 // carried by the snapshot.
 TEST(TafDbShardSmTest, DirEpochBumpsInApplyAndSurvivesSnapshot) {
-  KvOptions kv;
-  kv.use_wal = false;
-  TafDbShardSm sm(kv);
-  auto apply = [&](uint64_t request_id, const PrimitiveOp& op) {
-    ShardCommand cmd;
-    cmd.request_id = request_id;
-    cmd.op = op;
-    return PrimitiveResult::Decode(sm.Apply(request_id, cmd.Encode()));
-  };
-  PrimitiveOp mkdir;
-  mkdir.inserts.push_back(InodeRecord::MakeDirAttr(10, 1, 0755, 0, 0));
-  ASSERT_TRUE(apply(1, mkdir).status.ok());
-  EXPECT_EQ(sm.DirEpoch(10), 0u);
+  ShardSmHarness h;
+  EXPECT_EQ(h.sm().DirChangesSince(10, 0).epoch, 0u);
 
   PrimitiveOp create;
   create.inserts.push_back(
       InodeRecord::MakeIdRecord(10, "f", 20, InodeType::kFile));
   create.epoch_dir = 10;
-  PrimitiveResult first = apply(2, create);
+  PrimitiveResult first = h.Apply(2, create);
   ASSERT_TRUE(first.status.ok());
-  EXPECT_EQ(first.epoch, 1u);
-  EXPECT_EQ(apply(2, create).epoch, 1u);  // retried proposal: replayed
-  PrimitiveResult duplicate = apply(3, create);
+  EXPECT_EQ(first.changes.epoch, 1u);
+  EXPECT_EQ(h.Apply(2, create).changes.epoch, 1u);  // retried: replayed
+  PrimitiveResult duplicate = h.Apply(3, create);
   EXPECT_TRUE(duplicate.status.IsAlreadyExists());
-  EXPECT_EQ(duplicate.epoch, 0u);
-  EXPECT_EQ(sm.DirEpoch(10), 1u);
+  EXPECT_EQ(duplicate.changes.epoch, 0u);
+  EXPECT_EQ(h.sm().DirChangesSince(10, 0).epoch, 1u);
 
-  TafDbShardSm restored(kv);
-  ASSERT_TRUE(restored.Restore(sm.Snapshot()).ok());
-  EXPECT_EQ(restored.DirEpoch(10), 1u);
-  EXPECT_EQ(restored.DirEpoch(11), 0u);
+  TafDbShardSm restored(ShardSmHarness::Kv());
+  ASSERT_TRUE(restored.Restore(h.sm().Snapshot()).ok());
+  EXPECT_EQ(restored.DirChangesSince(10, 0).epoch, 1u);
+  EXPECT_EQ(restored.DirChangesSince(11, 0).epoch, 0u);
+}
+
+// A bump journals the names of the epoch_dir dentries its op deleted,
+// inserted or put; attribute records and other directories' keys are not
+// names. The op's result carries the slice since its epoch_since.
+TEST(TafDbShardSmTest, BumpJournalsTouchedNames) {
+  ShardSmHarness h;
+  ASSERT_TRUE(h.Create("a").status.ok());
+  ASSERT_TRUE(h.Create("b").status.ok());
+
+  // Fast-path-rename shape: delete a, delete b (ifexist), insert b, and an
+  // update of the parent's attribute record.
+  DeleteSpec del_a;
+  del_a.key = InodeKey::IdRecord(ShardSmHarness::kDir, "a");
+  DeleteSpec del_b;
+  del_b.key = InodeKey::IdRecord(ShardSmHarness::kDir, "b");
+  del_b.ifexist = true;
+  UpdateSpec upd;
+  upd.key = InodeKey::AttrRecord(ShardSmHarness::kDir);
+  auto rename = PrimitiveOp::InsertAndDeleteWithUpdate(
+      InodeRecord::MakeIdRecord(ShardSmHarness::kDir, "b", 100,
+                                InodeType::kFile),
+      {del_a, del_b}, upd, {});
+  rename.puts.push_back(InodeRecord::MakeIdRecord(11, "elsewhere", 101,
+                                                  InodeType::kFile));
+  rename.epoch_dir = ShardSmHarness::kDir;
+  rename.epoch_since = 2;
+  PrimitiveResult result = h.Apply(rename);
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.changes.since, 2u);
+  EXPECT_EQ(result.changes.epoch, 3u);
+  EXPECT_TRUE(result.changes.covered);
+  EXPECT_EQ(result.changes.names, (std::vector<std::string>{"a", "b"}));
+
+  DirChanges all = h.sm().DirChangesSince(ShardSmHarness::kDir, 0);
+  EXPECT_TRUE(all.covered);
+  EXPECT_EQ(all.epoch, 3u);
+  EXPECT_EQ(all.names.size(), 2u);  // a and b, each once
+  DirChanges none = h.sm().DirChangesSince(ShardSmHarness::kDir, 3);
+  EXPECT_TRUE(none.covered);
+  EXPECT_TRUE(none.names.empty());
+}
+
+// A failed op bumps and journals nothing; a replayed request id returns
+// its first result without journaling again.
+TEST(TafDbShardSmTest, FailedOrReplayedOpJournalsNothing) {
+  ShardSmHarness h;
+  EXPECT_TRUE(h.Unlink("missing").status.IsNotFound());
+  DirChanges after_failure = h.sm().DirChangesSince(ShardSmHarness::kDir, 0);
+  EXPECT_EQ(after_failure.epoch, 0u);
+  EXPECT_TRUE(after_failure.names.empty());
+
+  PrimitiveOp create;
+  create.inserts.push_back(InodeRecord::MakeIdRecord(
+      ShardSmHarness::kDir, "x", 100, InodeType::kFile));
+  create.epoch_dir = ShardSmHarness::kDir;
+  ASSERT_TRUE(h.Apply(7, create).status.ok());
+  PrimitiveResult replay = h.Apply(7, create);
+  EXPECT_TRUE(replay.status.ok());
+  EXPECT_EQ(replay.changes.epoch, 1u);
+  DirChanges changes = h.sm().DirChangesSince(ShardSmHarness::kDir, 0);
+  EXPECT_EQ(changes.epoch, 1u);
+  EXPECT_EQ(changes.names, (std::vector<std::string>{"x"}));
+}
+
+// The journal stops covering a view when a bump names no dentry (the
+// floor jumps to that bump), when it trims past kJournalDepth bumps, and
+// after a snapshot restore (floor = epoch).
+TEST(TafDbShardSmTest, UncoveredAfterNamelessBumpTrimAndRestore) {
+  ShardSmHarness h;
+  ASSERT_TRUE(h.Create("a").status.ok());  // epoch 1
+
+  PrimitiveOp setattr;
+  UpdateSpec upd;
+  upd.key = InodeKey::AttrRecord(ShardSmHarness::kDir);
+  upd.lww.mode = 0700;
+  upd.lww.ts = 5;
+  setattr.updates.push_back(upd);
+  setattr.epoch_dir = ShardSmHarness::kDir;
+  setattr.epoch_since = 1;
+  PrimitiveResult nameless = h.Apply(setattr);  // epoch 2, no names
+  ASSERT_TRUE(nameless.status.ok());
+  EXPECT_EQ(nameless.changes.epoch, 2u);
+  EXPECT_FALSE(nameless.changes.covered);
+  EXPECT_FALSE(h.sm().DirChangesSince(ShardSmHarness::kDir, 1).covered);
+  EXPECT_TRUE(h.sm().DirChangesSince(ShardSmHarness::kDir, 2).covered);
+
+  // Trim: after kJournalDepth more bumps, the first of them falls off.
+  for (size_t i = 0; i < TafDbShardSm::kJournalDepth + 1; i++) {
+    ASSERT_TRUE(h.Create("f" + std::to_string(i)).status.ok());
+  }
+  uint64_t epoch = 2 + TafDbShardSm::kJournalDepth + 1;
+  EXPECT_EQ(h.sm().DirChangesSince(ShardSmHarness::kDir, 0).epoch, epoch);
+  EXPECT_FALSE(h.sm().DirChangesSince(ShardSmHarness::kDir, 2).covered);
+  DirChanges tail = h.sm().DirChangesSince(ShardSmHarness::kDir, 3);
+  EXPECT_TRUE(tail.covered);
+  EXPECT_EQ(tail.names.size(), TafDbShardSm::kJournalDepth);
+
+  TafDbShardSm restored(ShardSmHarness::Kv());
+  ASSERT_TRUE(restored.Restore(h.sm().Snapshot()).ok());
+  EXPECT_FALSE(restored.DirChangesSince(ShardSmHarness::kDir, epoch - 1)
+                   .covered);
+  DirChanges current = restored.DirChangesSince(ShardSmHarness::kDir, epoch);
+  EXPECT_TRUE(current.covered);
+  EXPECT_TRUE(current.names.empty());
 }
 
 // ---------- raft-backed shard & cluster ----------
