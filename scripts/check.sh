@@ -9,8 +9,10 @@
 #   2. an AddressSanitizer+UBSan build running the complete test suite
 #      (memory errors and UB anywhere, not just in concurrency hot spots);
 #   3. a ThreadSanitizer build running the concurrency-heavy tests (metrics
-#      registry, SimNet edge tables, lock manager, lock-order tracker,
-#      workload harness, the sharded dentry cache, and the cross-engine
+#      registry, SimNet edge tables, lock manager, the held-lock record and
+#      the three checkers that read it from many threads — lock-order
+#      tracker, race detector, critical-section scope auditor — workload
+#      harness, the sharded dentry cache, and the cross-engine
 #      cache-coherence tests — the code most exposed to the multi-threaded
 #      client loops).
 #
@@ -19,7 +21,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TSAN_TESTS=(metrics_test trace_event_test simnet_test lock_manager_test
-            common_test lock_order_test workload_test dentry_cache_test)
+            common_test lock_order_test race_detector_test cs_scope_test
+            workload_test dentry_cache_test)
 
 if [[ "${1:-}" == "" ]]; then
   echo "== regular build + full test suite =="

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bitset>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,10 +27,15 @@ struct ClassInfo {
   std::string justification;
 };
 
+// The class table. Entry `id` is written once, under `mu`, before `count`
+// is raised past it; from then on it is immutable, so every hot path reads
+// it by const& with no lock. Entry 0 is the "<unknown>" placeholder.
 struct Registry {
   std::mutex mu;
   std::unordered_map<std::string, uint32_t> by_name;
-  std::vector<ClassInfo> classes;  // index = id - 1
+  std::atomic<uint32_t> count{0};  // registered ids are 1..count
+  ClassInfo classes[kMaxClasses];
+  Registry() { classes[0].name = "<unknown>"; }
 };
 
 // Leaked: lock classes are registered from objects with static storage
@@ -39,6 +43,12 @@ struct Registry {
 Registry& GetRegistry() {
   static Registry* const r = new Registry();
   return *r;
+}
+
+const ClassInfo& Info(uint32_t cls) {
+  Registry& r = GetRegistry();
+  bool known = cls != 0 && cls <= r.count.load(std::memory_order_acquire);
+  return r.classes[known ? cls : 0];
 }
 
 struct Graph {
@@ -51,7 +61,6 @@ Graph& GetGraph() {
   return *g;
 }
 
-std::atomic<bool> g_enabled{true};
 std::atomic<bool> g_rpc_enforce{true};
 // Bumped by ResetGraphForTest so per-thread verified-edge caches notice.
 std::atomic<uint64_t> g_graph_epoch{1};
@@ -103,19 +112,11 @@ void AtomicMax(std::atomic<int64_t>& slot, int64_t value) {
 // simulated time, identically across same-seed replays.
 int64_t NowNanos() { return simtime::NowNanosOrReal(); }
 
-// One held entry on a thread's stack. scope_only entries are logical
-// critical sections (e.g. row locks granted over RPC): they participate in
-// RPC-under-lock accounting and hold spans but are exempt from the
-// rank/cycle/self checks.
-struct Held {
-  uint32_t cls = 0;
-  bool scope_only = false;
-  uint64_t rpcs = 0;       // RPCs issued while this entry was held
-  int64_t acquire_ns = 0;  // steady-clock acquisition time
-};
-
+// The held-lock record (one per thread) plus the thread's verified-edge
+// cache for the held-before graph.
 struct ThreadState {
   std::vector<Held> held;  // acquisition order
+  uint64_t releases[kMaxClasses] = {};  // per-class release count
   std::bitset<kMaxClasses * kMaxClasses> verified;  // edges already in graph
   uint64_t graph_epoch = 0;
 };
@@ -125,17 +126,10 @@ ThreadState& State() {
   return state;
 }
 
-ClassInfo InfoOf(uint32_t cls) {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  if (cls == 0 || cls > r.classes.size()) return ClassInfo{"<unknown>", 0};
-  return r.classes[cls - 1];
-}
-
 std::string HeldStackString(const std::vector<Held>& held) {
   std::string out = "held stack: [";
   for (size_t i = 0; i < held.size(); i++) {
-    ClassInfo info = InfoOf(held[i].cls);
+    const ClassInfo& info = Info(held[i].cls);
     if (i > 0) out += ", ";
     out += "\"" + info.name + "\"(rank " + std::to_string(info.rank);
     if (held[i].scope_only) out += ", scope";
@@ -223,7 +217,7 @@ std::string PathString(const Graph& graph, uint32_t from, uint32_t to) {
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
     if (!out.empty()) out += " -> ";
     out += '"';
-    out += InfoOf(*it).name;
+    out += Info(*it).name;
     out += '"';
   }
   return out;
@@ -244,13 +238,23 @@ void RecordHoldSpan(const Held& entry) {
   AtomicMax(b.max_us, hold_us);
 }
 
-// Pops the most recent held entry of class `cls` with the given scope-ness
-// and records its hold span. A release with no matching entry is a wrapper
-// bug (or an enable/disable toggle with locks held): counted per class and
-// warned about once per class — never fatal, the lock itself is fine.
+void PushHeld(uint32_t cls, LockMode mode, bool scope_only) {
+  State().held.push_back(Held{cls, mode, scope_only, 0, NowNanos()});
+  if (race::Enabled()) race::OnLockAcquired(cls);
+}
+
+// Publishes to the race detector, then pops the most recent held entry of
+// class `cls` with the given scope-ness and records its hold span (releases
+// are LIFO everywhere in this codebase, but a linear scan keeps this
+// correct even if they were not). A release with no matching entry is a
+// wrapper bug: counted per class and warned about once per class — never
+// fatal, the lock itself is fine.
 void PopHeld(uint32_t cls, bool scope_only, const char* what) {
   if (cls == 0) return;
-  std::vector<Held>& held = State().held;
+  if (race::Enabled()) race::OnLockReleased(cls);
+  ThreadState& t = State();
+  t.releases[cls]++;
+  std::vector<Held>& held = t.held;
   for (size_t i = held.size(); i > 0; i--) {
     if (held[i - 1].cls == cls && held[i - 1].scope_only == scope_only) {
       RecordHoldSpan(held[i - 1]);
@@ -258,30 +262,19 @@ void PopHeld(uint32_t cls, bool scope_only, const char* what) {
       return;
     }
   }
-  if (!g_enabled.load(std::memory_order_relaxed)) {
-    // Acquired while tracking was disabled; nothing was pushed, so nothing
-    // to pop — not an imbalance.
-    return;
-  }
   ScopeSlot& slot = GetScope()[cls < kMaxClasses ? cls : 0];
   slot.unbalanced_pops.fetch_add(1, std::memory_order_relaxed);
   g_total_unbalanced_pops.fetch_add(1, std::memory_order_relaxed);
   bool expected = false;
   if (slot.unbalanced_warned.compare_exchange_strong(expected, true)) {
-    ClassInfo info = InfoOf(cls);
     std::fprintf(stderr,
                  "[lock_order] WARNING: %s of \"%s\" with no matching held "
                  "entry on this thread (reported once per class; see "
                  "unbalanced_pops counter). Likely an acquire/release "
-                 "imbalance in a wrapper, or tracking was toggled with the "
-                 "lock held.\n",
-                 what, info.name.c_str());
+                 "imbalance in a wrapper.\n",
+                 what, Info(cls).name.c_str());
     std::fflush(stderr);
   }
-}
-
-void PushHeld(uint32_t cls, bool scope_only) {
-  State().held.push_back(Held{cls, scope_only, 0, NowNanos()});
 }
 
 }  // namespace
@@ -328,7 +321,7 @@ uint32_t RegisterClass(const char* name, int rank, RpcHoldPolicy policy,
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.by_name.find(name);
   if (it != r.by_name.end()) {
-    const ClassInfo& existing = r.classes[it->second - 1];
+    const ClassInfo& existing = r.classes[it->second];
     if (existing.rank != rank || existing.policy != policy ||
         existing.justification != (justification ? justification : "")) {
       std::fprintf(stderr,
@@ -341,24 +334,31 @@ uint32_t RegisterClass(const char* name, int rank, RpcHoldPolicy policy,
     }
     return it->second;
   }
-  if (r.classes.size() >= kMaxClasses - 1) {
+  uint32_t id = r.count.load(std::memory_order_relaxed) + 1;
+  if (id >= kMaxClasses) {
     std::fprintf(stderr, "[lock_order] FATAL: too many lock classes (>%zu)\n",
                  kMaxClasses - 1);
     std::fflush(stderr);
     std::abort();
   }
-  r.classes.push_back(
-      ClassInfo{name, rank, policy, justification ? justification : ""});
-  uint32_t id = static_cast<uint32_t>(r.classes.size());
+  r.classes[id] =
+      ClassInfo{name, rank, policy, justification ? justification : ""};
+  r.count.store(id, std::memory_order_release);
   r.by_name.emplace(name, id);
   return id;
 }
 
-void OnAcquire(uint32_t cls) {
+const std::vector<Held>& HeldLocks() { return State().held; }
+
+uint64_t ReleaseCount(uint32_t cls) {
+  return cls < kMaxClasses ? State().releases[cls] : 0;
+}
+
+void OnAcquire(uint32_t cls, LockMode mode) {
   // Preemption point: a blocking lock acquisition is where schedule choice
   // decides who enters the critical section first (DESIGN.md §12).
   simtime::FuzzPoint(simtime::FuzzKind::kLockAcquire);
-  if (cls == 0 || !g_enabled.load(std::memory_order_relaxed)) return;
+  if (cls == 0) return;
   ThreadState& t = State();
   uint64_t epoch = g_graph_epoch.load(std::memory_order_acquire);
   if (t.graph_epoch != epoch) {
@@ -366,8 +366,7 @@ void OnAcquire(uint32_t cls) {
     t.graph_epoch = epoch;
   }
 
-  ClassInfo acq;
-  if (!t.held.empty()) acq = InfoOf(cls);
+  const ClassInfo& acq = Info(cls);
   for (const Held& entry : t.held) {
     // Logical (scope-only) entries are not mutexes: blocking on them is
     // resolved by the lock manager's own timeouts, they are legally held
@@ -387,7 +386,7 @@ void OnAcquire(uint32_t cls) {
       Report(std::move(v));
       continue;
     }
-    ClassInfo held_info = InfoOf(held);
+    const ClassInfo& held_info = Info(held);
     if (acq.rank != 0 && held_info.rank != 0 && acq.rank <= held_info.rank) {
       Violation v;
       v.kind = Violation::Kind::kRank;
@@ -423,38 +422,33 @@ void OnAcquire(uint32_t cls) {
     }
     t.verified.set(bit);
   }
-  PushHeld(cls, /*scope_only=*/false);
+  t.held.push_back(Held{cls, mode, /*scope_only=*/false, 0, NowNanos()});
 }
 
-void OnTryAcquired(uint32_t cls) {
-  if (cls == 0 || !g_enabled.load(std::memory_order_relaxed)) return;
-  PushHeld(cls, /*scope_only=*/false);
+void OnAcquired(uint32_t cls) {
+  if (cls != 0 && race::Enabled()) race::OnLockAcquired(cls);
 }
 
-void OnRelease(uint32_t cls) {
-  simtime::FuzzPoint(simtime::FuzzKind::kLockRelease);
-  // Runs even while disabled so stacks stay balanced across a Disable()
-  // that happened with locks held. Pops the most recent matching entry
-  // (releases are LIFO everywhere in this codebase, but a linear scan keeps
-  // this correct even if they were not).
-  PopHeld(cls, /*scope_only=*/false, "release");
+void OnTryAcquired(uint32_t cls, LockMode mode) {
+  if (cls != 0) PushHeld(cls, mode, /*scope_only=*/false);
 }
 
+void OnRelease(uint32_t cls) { PopHeld(cls, /*scope_only=*/false, "release"); }
+
+void OnReleased() { simtime::FuzzPoint(simtime::FuzzKind::kLockRelease); }
+
+// Logical critical sections protect data too (a transaction's row locks
+// guard the rows), so they join the locksets and the happens-before edges
+// exactly like a mutex held in exclusive mode.
 void OnScopeEnter(uint32_t cls) {
-  if (cls == 0 || !g_enabled.load(std::memory_order_relaxed)) return;
-  PushHeld(cls, /*scope_only=*/true);
-  // Logical critical sections protect data too (a transaction's row locks
-  // guard the rows): feed them into the race detector's lockset.
-  race::OnLockAcquired(cls, race::LockMode::kExclusive);
+  if (cls != 0) PushHeld(cls, LockMode::kExclusive, /*scope_only=*/true);
 }
 
 void OnScopeExit(uint32_t cls) {
   PopHeld(cls, /*scope_only=*/true, "scope exit");
-  race::OnLockReleased(cls, race::LockMode::kExclusive);
 }
 
 void OnRpcEdge(const char* from_node, const char* to_node) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
   ThreadState& t = State();
   if (t.held.empty()) return;
   ScopeSlot* scope = GetScope();
@@ -467,7 +461,7 @@ void OnRpcEdge(const char* from_node, const char* to_node) {
     entry.rpcs++;
     ScopeSlot& slot = scope[entry.cls];
     slot.rpcs_under_lock.fetch_add(1, std::memory_order_relaxed);
-    ClassInfo info = InfoOf(entry.cls);
+    const ClassInfo& info = Info(entry.cls);
     if (info.policy != RpcHoldPolicy::kNeverAcrossRpc) continue;
     slot.rpc_violations.fetch_add(1, std::memory_order_relaxed);
     g_total_rpc_violations.fetch_add(1, std::memory_order_relaxed);
@@ -483,23 +477,16 @@ void OnRpcEdge(const char* from_node, const char* to_node) {
 }
 
 void AssertHeld(uint32_t cls) {
-  if (cls == 0 || !g_enabled.load(std::memory_order_relaxed)) return;
+  if (cls == 0) return;
   for (const Held& entry : State().held) {
     if (entry.cls == cls) return;
   }
-  ClassInfo info = InfoOf(cls);
   std::fprintf(stderr,
                "[lock_order] FATAL: AssertHeld(\"%s\") failed; %s\n",
-               info.name.c_str(), HeldStackString(State().held).c_str());
+               Info(cls).name.c_str(), HeldStackString(State().held).c_str());
   std::fflush(stderr);
   std::abort();
 }
-
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void SetRpcEnforcement(bool enforce) {
   g_rpc_enforce.store(enforce, std::memory_order_relaxed);
@@ -513,35 +500,30 @@ void SetViolationHandler(ViolationHandler handler) {
 }
 
 std::vector<std::pair<std::string, int>> RegisteredClasses() {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
+  uint32_t count = GetRegistry().count.load(std::memory_order_acquire);
   std::vector<std::pair<std::string, int>> out;
-  out.reserve(r.classes.size());
-  for (const ClassInfo& info : r.classes) {
-    out.emplace_back(info.name, info.rank);
+  out.reserve(count);
+  for (uint32_t id = 1; id <= count; id++) {
+    out.emplace_back(Info(id).name, Info(id).rank);
   }
   return out;
 }
 
-std::string ClassName(uint32_t cls) { return InfoOf(cls).name; }
+const std::string& ClassName(uint32_t cls) { return Info(cls).name; }
 
 std::vector<ClassScope> ScopeSnapshot() {
-  std::vector<ClassInfo> classes;
-  {
-    Registry& r = GetRegistry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    classes = r.classes;
-  }
+  uint32_t count = GetRegistry().count.load(std::memory_order_acquire);
   ScopeSlot* scope = GetScope();
   std::vector<ClassScope> out;
-  out.reserve(classes.size());
-  for (size_t i = 0; i < classes.size(); i++) {
-    const ScopeSlot& slot = scope[i + 1];
+  out.reserve(count);
+  for (uint32_t id = 1; id <= count; id++) {
+    const ClassInfo& info = Info(id);
+    const ScopeSlot& slot = scope[id];
     ClassScope cs;
-    cs.name = classes[i].name;
-    cs.rank = classes[i].rank;
-    cs.policy = classes[i].policy;
-    cs.justification = classes[i].justification;
+    cs.name = info.name;
+    cs.rank = info.rank;
+    cs.policy = info.policy;
+    cs.justification = info.justification;
     cs.holds = slot.holds.load(std::memory_order_relaxed);
     cs.holds_with_rpc = slot.holds_with_rpc.load(std::memory_order_relaxed);
     cs.rpcs_under_lock = slot.rpcs_under_lock.load(std::memory_order_relaxed);
@@ -596,8 +578,6 @@ void ResetGraphForTest() {
   for (auto& row : graph.adj) row.reset();
   g_graph_epoch.fetch_add(1, std::memory_order_release);
 }
-
-size_t HeldDepthForTest() { return State().held.size(); }
 
 }  // namespace lock_order
 }  // namespace cfs

@@ -1,13 +1,24 @@
-// Runtime lock-order (potential-deadlock) tracker and critical-section
-// scope auditor behind cfs::Mutex / cfs::SharedMutex
-// (src/common/thread_annotations.h). Compiled in when
-// CFS_LOCK_ORDER_TRACKING is defined (CMake option CFS_LOCK_ORDER, ON by
-// default; turn it off for peak-performance benchmarking).
+// The held-lock record behind cfs::Mutex / cfs::SharedMutex
+// (src/common/thread_annotations.h), and the three checkers that read it:
+// the lock-order (potential-deadlock) tracker, the critical-section scope
+// auditor, and the race detector's locksets (src/common/race_detector.h).
 //
-// Model (a deliberately small lockdep): every mutex belongs to a lock
-// *class* keyed by its registered name — all 16 shards of the dentry cache
-// are one class. Each thread keeps a stack of held classes. A blocking
-// acquisition is checked two ways:
+// One switch: the CMake option CFS_LOCK_ORDER (ON by default) defines
+// CFS_LOCK_ORDER_TRACKING, which sets kTracking below. With it off, the
+// wrappers compile to bare std mutexes and nothing here is called. With it
+// on, the record is always kept; the race detector is additionally armed at
+// runtime by env CFS_RACE_DETECT=1 (race::SetEnabled).
+//
+// The record: each thread keeps a stack of Held entries (class, mode,
+// RPCs issued under it, acquisition time), pushed and popped only by the
+// wrapper hooks below and by OnScopeEnter/Exit. Every mutex belongs to a
+// lock *class* keyed by its registered name — all 16 shards of the dentry
+// cache are one class. The wrappers call only this module; it forwards the
+// race detector's happens-before join (after the mutex is owned) and
+// publish (before it is released) only while the detector is armed.
+//
+// Lock order (a deliberately small lockdep). A blocking acquisition is
+// checked two ways before it blocks:
 //
 //   1. Rank rule: the acquired class's rank must be strictly greater than
 //      the rank of every held ranked class (DESIGN.md's hierarchy table).
@@ -23,8 +34,10 @@
 // acquisitions must still order against the lock it took.
 //
 // The graph only grows on the first occurrence of an edge per thread (a
-// thread-local verified-edge cache front-runs the global graph mutex), so
-// steady-state overhead is a few thread-local bit tests per acquisition.
+// thread-local verified-edge cache front-runs the global graph mutex), and
+// the class table is written once per class at registration and read
+// without a lock, so steady-state overhead is a few thread-local bit tests
+// per acquisition.
 //
 // Violations invoke the installed handler; the default prints both lock
 // names plus the held stack to stderr and aborts. Tests install a recording
@@ -55,11 +68,12 @@
 //     paper's scope-comparison narrative against both baselines.
 //   - Logical (non-mutex) critical sections — e.g. a transaction's row
 //     locks, granted and released over RPC but *held* by the calling
-//     thread between the two — participate through OnScopeEnter/Exit.
-//     Scope entries are audited for RPCs-under-lock and hold spans but are
-//     exempt from the rank/cycle/self checks (row-lock deadlocks are
-//     handled by the lock manager's timeouts, and one thread legally holds
-//     many row locks of one class).
+//     thread between the two — enter the same record through
+//     OnScopeEnter/Exit. Scope entries are audited for RPCs-under-lock and
+//     hold spans, count in the race detector's locksets, and are exempt
+//     from the rank/cycle/self checks (row-lock deadlocks are handled by
+//     the lock manager's timeouts, and one thread legally holds many row
+//     locks of one class).
 
 #ifndef CFS_COMMON_LOCK_ORDER_H_
 #define CFS_COMMON_LOCK_ORDER_H_
@@ -73,9 +87,20 @@
 namespace cfs {
 namespace lock_order {
 
-// Upper bound on registered lock classes. Shared with the race detector
-// (src/common/race_detector.cc), whose locksets are bitsets over class ids.
+// Compile-time switch for everything in this header (CMake CFS_LOCK_ORDER).
+// The wrappers test it with `if constexpr`, so an untracked build pays
+// nothing.
+#ifdef CFS_LOCK_ORDER_TRACKING
+inline constexpr bool kTracking = true;
+#else
+inline constexpr bool kTracking = false;
+#endif
+
+// Upper bound on registered lock classes; ids are 1..kMaxLockClasses-1.
+// The race detector's locksets are bitsets over class ids.
 inline constexpr size_t kMaxLockClasses = 256;
+
+enum class LockMode : uint8_t { kExclusive = 0, kShared = 1 };
 
 // How a lock class relates to network round trips (the paper's pruned
 // critical-section scope). kAllowedAcrossRpc requires a justification.
@@ -111,15 +136,40 @@ uint32_t RegisterClass(const char* name, int rank);
 uint32_t RegisterClass(const char* name, int rank, RpcHoldPolicy policy,
                        const char* justification);
 
-// Hooks called by the cfs::Mutex / cfs::SharedMutex wrappers.
-void OnAcquire(uint32_t cls);      // rank + cycle checks, then push
-void OnTryAcquired(uint32_t cls);  // push only (try_lock cannot deadlock)
-void OnRelease(uint32_t cls);      // pop + hold-span accounting
+// One entry of a thread's held-lock record. scope_only entries are logical
+// critical sections (OnScopeEnter): they take part in RPC-under-lock
+// accounting, hold spans and locksets, but not in the rank/cycle/self
+// checks.
+struct Held {
+  uint32_t cls = 0;
+  LockMode mode = LockMode::kExclusive;
+  bool scope_only = false;
+  uint64_t rpcs = 0;       // RPCs issued while this entry was held
+  int64_t acquire_ns = 0;  // acquisition time (virtual under a scheduler)
+};
+
+// The calling thread's held-lock record, oldest acquisition first. The
+// race detector derives its locksets from it; tests inspect it.
+const std::vector<Held>& HeldLocks();
+
+// How many times the calling thread has released class `cls` (race
+// detector's AccessScope: a guard dropped and retaken mid-region moves it).
+uint64_t ReleaseCount(uint32_t cls);
+
+// Hooks called by the cfs::Mutex / cfs::SharedMutex wrappers, in this
+// order around the std mutex operation:
+//   OnAcquire -> lock -> OnAcquired,  try_lock -> OnTryAcquired,
+//   OnRelease -> unlock -> OnReleased.
+void OnAcquire(uint32_t cls, LockMode mode);      // rank + cycle checks, push
+void OnAcquired(uint32_t cls);                    // race HB join when armed
+void OnTryAcquired(uint32_t cls, LockMode mode);  // push (cannot deadlock)
+void OnRelease(uint32_t cls);  // race HB publish when armed, pop, hold span
+void OnReleased();             // schedule-fuzz point after the unlock
 
 // Logical critical sections (no mutex object): pushed/popped around e.g. a
-// transaction's row-lock hold window. Audited for RPC-under-lock and hold
-// spans; exempt from rank/cycle/self checks, and one thread may hold many
-// entries of one class.
+// transaction's row-lock hold window, in exclusive mode. Exempt from the
+// rank/cycle/self checks, and one thread may hold many entries of one
+// class.
 void OnScopeEnter(uint32_t cls);
 void OnScopeExit(uint32_t cls);
 
@@ -130,11 +180,6 @@ void OnRpcEdge(const char* from_node, const char* to_node);
 
 // Aborts unless the calling thread holds a lock of class `cls`.
 void AssertHeld(uint32_t cls);
-
-// Runtime toggle (compile-time gate is CFS_LOCK_ORDER_TRACKING). While
-// disabled, acquisitions are not recorded at all.
-void SetEnabled(bool enabled);
-bool Enabled();
 
 // When enforcement is on (the default), an RPC issued under a
 // kNeverAcrossRpc class reports a violation (abort unless a handler is
@@ -152,9 +197,9 @@ void SetViolationHandler(ViolationHandler handler);
 // The name/rank pairs of every class registered so far (diagnostics).
 std::vector<std::pair<std::string, int>> RegisteredClasses();
 
-// The registered name of class `cls` ("<unknown>" for 0/out-of-range).
+// The registered name of class `cls` ("<unknown>" for 0/unregistered).
 // Used by the race detector to report violations by lock-class name.
-std::string ClassName(uint32_t cls);
+const std::string& ClassName(uint32_t cls);
 
 // ---------------------------------------------------------------------------
 // Scope accounting snapshot
@@ -200,8 +245,6 @@ uint64_t TotalUnbalancedPops();
 // verified-edge caches. Registered classes survive (their ids are baked
 // into live mutexes).
 void ResetGraphForTest();
-// Test support: depth of the calling thread's held stack.
-size_t HeldDepthForTest();
 
 }  // namespace lock_order
 }  // namespace cfs

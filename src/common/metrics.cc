@@ -71,12 +71,12 @@ void LatencyRecorder::Record(int64_t value_us) {
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const registry = [] {
     MetricsRegistry* r = new MetricsRegistry();
-#ifdef CFS_LOCK_ORDER_TRACKING
     // Critical-section scope audit (src/common/lock_order.h). Registered
     // here rather than in lock_order.cc so the tracker (which every mutex
     // hook runs through) never depends on the metrics layer. Per-class
     // samples are emitted only for classes with something to report, so a
     // clean CFS run dumps just the two process-wide totals (both 0).
+    if constexpr (!lock_order::kTracking) return r;
     r->RegisterProbe("lock_scope", [] {
       std::vector<std::pair<std::string, int64_t>> samples;
       samples.emplace_back(
@@ -104,7 +104,6 @@ MetricsRegistry& MetricsRegistry::Global() {
       }
       return samples;
     });
-#endif
     return r;
   }();
   return *registry;

@@ -1,7 +1,5 @@
 #include "src/common/race_detector.h"
 
-#ifdef CFS_RACE_DETECT_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <bitset>
@@ -127,23 +125,15 @@ Ctx MakeCtx() {
   return c;
 }
 
+// Happens-before state only: the locks a thread holds live in lock_order's
+// held-lock record.
 struct ThreadState {
   Ctx thread_ctx;
   std::vector<Ctx> task_stack;  // active sim-task contexts (depth ~1)
-  // Lockset: per-class hold counts by mode, plus the derived bitsets.
-  uint8_t held_excl[kMaxClasses] = {};
-  uint8_t held_shared[kMaxClasses] = {};
-  Lockset any_set;
-  Lockset excl_set;
-  std::vector<std::pair<uint32_t, LockMode>> order;  // acquisition order
   // Per-class sync-slot version this context is known to have joined;
   // skipping the join when nothing changed makes uncontended reacquisition
   // O(1). Invalidated wholesale on task switches (the task has its own vc).
   uint64_t sync_seen[kMaxClasses] = {};
-  // Per-class release counter: lets AccessScope prove its declared lock was
-  // held for the *whole* region, not merely at entry and exit (a
-  // drop-and-reacquire in between bumps the epoch).
-  uint64_t release_epoch[kMaxClasses] = {};
   bool initialized = false;
 };
 
@@ -158,6 +148,21 @@ ThreadState& State() {
 
 Ctx& CurrentCtx(ThreadState& t) {
   return t.task_stack.empty() ? t.thread_ctx : t.task_stack.back();
+}
+
+// The calling thread's locksets, derived from the held-lock record.
+struct Locksets {
+  Lockset any;   // classes held in any mode
+  Lockset excl;  // classes held exclusive
+};
+
+Locksets HeldLocksets() {
+  Locksets out;
+  for (const lock_order::Held& h : lock_order::HeldLocks()) {
+    out.any.set(h.cls);
+    if (h.mode == lock_order::LockMode::kExclusive) out.excl.set(h.cls);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -274,12 +279,12 @@ ReportStore& Store() {
 
 std::atomic<uint64_t> g_report_count{0};
 
-std::string LocksetString(const ThreadState& t) {
+std::string LocksetString() {
   std::string out;
-  for (const auto& [cls, mode] : t.order) {
+  for (const lock_order::Held& h : lock_order::HeldLocks()) {
     if (!out.empty()) out += ",";
-    out += lock_order::ClassName(cls);
-    if (mode == LockMode::kShared) out += "(shared)";
+    out += lock_order::ClassName(h.cls);
+    if (h.mode == lock_order::LockMode::kShared) out += "(shared)";
   }
   return out.empty() ? "<none>" : out;
 }
@@ -298,15 +303,15 @@ void Emit(Report r) {
   if (store.reports.size() < MaxReports()) store.reports.push_back(std::move(r));
 }
 
-Report MakeReport(Report::Kind kind, const ThreadState& t, const Ctx& ctx,
-                  const char* field, uint32_t declared_cls, bool is_write,
-                  const char* file, int line) {
+Report MakeReport(Report::Kind kind, const Ctx& ctx, const char* field,
+                  uint32_t declared_cls, bool is_write, const char* file,
+                  int line) {
   Report r;
   r.kind = kind;
   r.field = field;
   r.declared_lock =
       declared_cls != 0 ? lock_order::ClassName(declared_cls) : "<none>";
-  r.locks_held = LocksetString(t);
+  r.locks_held = LocksetString();
   r.file = file;
   r.line = line;
   r.is_write = is_write;
@@ -352,7 +357,10 @@ void SetEnabled(bool enabled) {
   EnabledFlag().store(enabled, std::memory_order_relaxed);
 }
 
-bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
+bool Enabled() {
+  return lock_order::kTracking &&
+         EnabledFlag().load(std::memory_order_relaxed);
+}
 
 void SetAbortOnReport(bool abort_on_report) {
   AbortFlag().store(abort_on_report, std::memory_order_relaxed);
@@ -360,14 +368,8 @@ void SetAbortOnReport(bool abort_on_report) {
 
 bool AbortOnReport() { return AbortFlag().load(std::memory_order_relaxed); }
 
-void OnLockAcquired(uint32_t cls, LockMode mode) {
-  if (cls == 0 || cls >= kMaxClasses || !Enabled()) return;
+void OnLockAcquired(uint32_t cls) {
   ThreadState& t = State();
-  uint8_t* counts = mode == LockMode::kShared ? t.held_shared : t.held_excl;
-  if (counts[cls] < 255) counts[cls]++;
-  t.any_set.set(cls);
-  if (mode == LockMode::kExclusive) t.excl_set.set(cls);
-  t.order.emplace_back(cls, mode);
   // HB in-edge: everything that happened before the last release of this
   // class happened before us. Skipped when the slot has not moved since we
   // last synchronized — the common reacquisition case.
@@ -380,23 +382,8 @@ void OnLockAcquired(uint32_t cls, LockMode mode) {
   }
 }
 
-void OnLockReleased(uint32_t cls, LockMode mode) {
-  if (cls == 0 || cls >= kMaxClasses) return;
+void OnLockReleased(uint32_t cls) {
   ThreadState& t = State();
-  if (!t.initialized) return;
-  uint8_t* counts = mode == LockMode::kShared ? t.held_shared : t.held_excl;
-  if (counts[cls] == 0) return;  // acquired while disabled; stay balanced
-  counts[cls]--;
-  t.release_epoch[cls]++;
-  if (t.held_excl[cls] == 0) t.excl_set.reset(cls);
-  if (t.held_excl[cls] == 0 && t.held_shared[cls] == 0) t.any_set.reset(cls);
-  for (size_t i = t.order.size(); i > 0; i--) {
-    if (t.order[i - 1].first == cls && t.order[i - 1].second == mode) {
-      t.order.erase(t.order.begin() + static_cast<std::ptrdiff_t>(i - 1));
-      break;
-    }
-  }
-  if (!Enabled()) return;
   // HB out-edge: publish our clock to the class, then tick so later local
   // work is not ordered before a future acquirer. The join runs both ways —
   // at class granularity the slot already merges all instances' histories,
@@ -459,13 +446,14 @@ void RecordAccess(const void* addr, const char* field, uint32_t declared_cls,
   ThreadState& t = State();
   Ctx& ctx = CurrentCtx(t);
   const uint64_t now_clock = ctx.clock;
+  const Locksets held = HeldLocksets();
+  const Lockset& mode_set = is_write ? held.excl : held.any;
 
   // Check 1 — the declaration: a write needs the declared class exclusive,
   // a read accepts shared or exclusive.
   bool declared_ok = true;
   if (declared_cls != 0 && declared_cls < kMaxClasses) {
-    declared_ok = is_write ? t.held_excl[declared_cls] > 0
-                           : t.any_set.test(declared_cls);
+    declared_ok = mode_set.test(declared_cls);
   }
 
   auto addr_int = reinterpret_cast<uintptr_t>(addr);
@@ -489,8 +477,7 @@ void RecordAccess(const void* addr, const char* field, uint32_t declared_cls,
       return;  // location+kind already reported in full; keep counting
     }
     loc.reported_kinds |= bit;
-    Report r = MakeReport(kind, t, ctx, field, declared_cls, is_write, file,
-                          line);
+    Report r = MakeReport(kind, ctx, field, declared_cls, is_write, file, line);
     if (l.last_write.ctx != 0) {
       r.prior = "write ctx=" + std::to_string(l.last_write.ctx) + " locks=" +
                 (l.last_write_locks.empty() ? "<none>" : l.last_write_locks);
@@ -511,7 +498,7 @@ void RecordAccess(const void* addr, const char* field, uint32_t declared_cls,
     loc.declared_cls = declared_cls;
     loc.st = Loc::St::kExclusive;
     loc.owner = {ctx.id, now_clock};
-    loc.lockset = t.any_set;
+    loc.lockset = held.any;
   }
 
   // True if every access recorded in `epochs` happens-before this one.
@@ -523,12 +510,12 @@ void RecordAccess(const void* addr, const char* field, uint32_t declared_cls,
     case Loc::St::kExclusive:
       if (loc.owner.ctx == ctx.id || covered(loc.owner)) {
         loc.owner = {ctx.id, now_clock};  // same owner / silent handoff
-        loc.lockset = t.any_set;
+        loc.lockset = held.any;
       } else {
         // Genuinely concurrent second context: enter the shared regime.
         // Eraser: the candidate set becomes the locks common to both sides.
         loc.st = is_write ? Loc::St::kSharedMod : Loc::St::kShared;
-        loc.lockset &= is_write ? t.excl_set : t.any_set;
+        loc.lockset &= mode_set;
         if (loc.lockset.none()) report(Report::Kind::kLocksetEmpty, loc);
       }
       break;
@@ -538,14 +525,13 @@ void RecordAccess(const void* addr, const char* field, uint32_t declared_cls,
       if (is_write) {
         for (const Epoch& e : loc.reads) ordered = ordered && covered(e);
       }
-      Lockset refined = loc.lockset;
-      refined &= is_write ? t.excl_set : t.any_set;
+      Lockset refined = loc.lockset & mode_set;
       if (refined.none() && ordered) {
         // Phase change: all prior accesses happen-before this one — the
         // location starts a new era under (possibly) a new discipline.
         loc.st = Loc::St::kExclusive;
         loc.owner = {ctx.id, now_clock};
-        loc.lockset = t.any_set;
+        loc.lockset = held.any;
       } else {
         loc.lockset = refined;
         if (is_write) loc.st = Loc::St::kSharedMod;
@@ -559,7 +545,7 @@ void RecordAccess(const void* addr, const char* field, uint32_t declared_cls,
 
   if (is_write) {
     loc.last_write = {ctx.id, now_clock};
-    loc.last_write_locks = LocksetString(t);
+    loc.last_write_locks = LocksetString();
     if (loc.last_write_locks == "<none>") loc.last_write_locks.clear();
     loc.last_write_file = file;
     loc.last_write_line = line;
@@ -578,30 +564,26 @@ AccessScope::AccessScope(const void* addr, const char* field,
       line_(line),
       armed_(Enabled()) {
   if (!armed_) return;
-  if (declared_cls_ != 0 && declared_cls_ < kMaxClasses) {
-    release_epoch_at_entry_ = State().release_epoch[declared_cls_];
-  }
+  releases_at_entry_ = lock_order::ReleaseCount(declared_cls_);
   RecordAccess(addr, field, declared_cls, is_write, file, line);
 }
 
 AccessScope::~AccessScope() {
   if (!armed_ || !Enabled()) return;
   if (declared_cls_ == 0 || declared_cls_ >= kMaxClasses) return;
-  ThreadState& t = State();
   // Atomicity of the whole region: the declared lock must still be held AND
   // never have been released since the scope opened — a drop-and-reacquire
   // lets another context observe the half-done update even though the lock
   // is back by now.
-  if (t.any_set.test(declared_cls_) &&
-      t.release_epoch[declared_cls_] == release_epoch_at_entry_) {
+  const bool held = HeldLocksets().any.test(declared_cls_);
+  if (held && lock_order::ReleaseCount(declared_cls_) == releases_at_entry_) {
     return;
   }
-  Report r = MakeReport(Report::Kind::kScopeGuardDropped, t, CurrentCtx(t),
+  Report r = MakeReport(Report::Kind::kScopeGuardDropped, CurrentCtx(State()),
                         field_, declared_cls_, /*is_write=*/false, file_,
                         line_);
-  r.prior = t.any_set.test(declared_cls_)
-                ? "declared lock released and reacquired mid-scope"
-                : "declared lock released before the access scope closed";
+  r.prior = held ? "declared lock released and reacquired mid-scope"
+                 : "declared lock released before the access scope closed";
   Emit(std::move(r));
 }
 
@@ -645,51 +627,5 @@ void ResetForTest() {
   std::memset(t.sync_seen, 0, sizeof(t.sync_seen));
 }
 
-size_t LocksHeldForTest() { return State().order.size(); }
-
-bool HoldsForTest(uint32_t cls, LockMode mode) {
-  ThreadState& t = State();
-  if (cls == 0 || cls >= kMaxClasses) return false;
-  return mode == LockMode::kShared ? t.held_shared[cls] > 0
-                                   : t.held_excl[cls] > 0;
-}
-
 }  // namespace race
 }  // namespace cfs
-
-#else  // !CFS_RACE_DETECT_ENABLED
-
-// Detector compiled out (-DCFS_RACE_DETECT=OFF): keep the result-inspection
-// API linkable so tests and the audit tooling build either way.
-
-namespace cfs {
-namespace race {
-
-const char* ReportKindName(Report::Kind) { return "?"; }
-std::string Fingerprint(const Report&) { return ""; }
-void SetEnabled(bool) {}
-bool Enabled() { return false; }
-void SetAbortOnReport(bool) {}
-bool AbortOnReport() { return false; }
-void OnLockAcquired(uint32_t, LockMode) {}
-void OnLockReleased(uint32_t, LockMode) {}
-uint64_t OnTaskCreate() { return 0; }
-void OnTaskBegin(uint64_t) {}
-void OnTaskEnd() {}
-void RecordAccess(const void*, const char*, uint32_t, bool, const char*,
-                  int) {}
-AccessScope::AccessScope(const void*, const char*, uint32_t, bool,
-                         const char*, int)
-    : field_(nullptr), declared_cls_(0), file_(nullptr), line_(0),
-      armed_(false) {}
-AccessScope::~AccessScope() = default;
-size_t ReportCount() { return 0; }
-std::vector<Report> Reports() { return {}; }
-void ResetForTest() {}
-size_t LocksHeldForTest() { return 0; }
-bool HoldsForTest(uint32_t, LockMode) { return false; }
-
-}  // namespace race
-}  // namespace cfs
-
-#endif  // CFS_RACE_DETECT_ENABLED

@@ -10,12 +10,13 @@
 // happens-before exoneration, at the granularity this codebase already made
 // first-class — named lock *classes* (lock_order.h), not mutex instances.
 //
-//   - Locksets. The cfs::Mutex / cfs::SharedMutex wrappers call
-//     OnLockAcquired/OnLockReleased with the lock's class id and mode, so
-//     every thread (and every simtime task — see below) carries the set of
-//     classes it holds, split exclusive/shared. LockManager row locks and
-//     other logical critical sections flow in through lock_order's
-//     OnScopeEnter/Exit forwarding.
+//   - Locksets. The detector keeps no lock state of its own: it reads the
+//     calling thread's held-lock record in lock_order (HeldLocks), the one
+//     the deadlock tracker and scope auditor keep, and derives the set of
+//     classes held in any mode and the set held exclusive from it. Because
+//     the record is kept whether or not the detector is armed, locks taken
+//     before arming count. LockManager row locks and other logical critical
+//     sections are scope entries in the same record.
 //
 //   - Access annotations. CFS_SHARED_READ(field, mu) / CFS_SHARED_WRITE
 //     (field, mu) are one-line markers placed at a shared field's access
@@ -36,7 +37,9 @@
 //         happens-before — the Eraser condition.
 //
 //   - Happens-before. Per-context vector clocks, joined through lock-class
-//     release→acquire edges and through simtime scheduling edges (a task
+//     release→acquire edges (lock_order calls OnLockAcquired once the mutex
+//     is owned and OnLockReleased before it is unlocked, only while the
+//     detector is armed) and through simtime scheduling edges (a task
 //     that schedules an event happens-before that event). Contexts are OS
 //     threads plus simulated tasks: the scheduler multiplexes thousands of
 //     logical clients onto one driving thread, and treating them as one
@@ -54,13 +57,14 @@
 // replays byte-identically (Fingerprint()); context-id salting in report
 // fingerprints uses the same SplitMix64 stream discipline as the scheduler.
 //
-// Compiled in when CFS_RACE_DETECT_ENABLED is defined (CMake option
-// CFS_RACE_DETECT, default ON; requires CFS_LOCK_ORDER for class ids).
-// Runtime-enabled by env CFS_RACE_DETECT=1 or SetEnabled(true); disabled it
-// costs one relaxed atomic load per hook. Reports print to stderr and
-// accumulate (bounded); CFS_RACE_ABORT=1 / SetAbortOnReport makes the first
-// report fatal — the mode the planted-race death tests and the CI race-audit
-// job run in. CFS_RACE_MAX_REPORTS bounds the retained list.
+// Compiled in with the lock-order tracker (CMake option CFS_LOCK_ORDER,
+// default ON; with it off the access annotations are no-ops and Enabled()
+// is always false). Runtime-armed by env CFS_RACE_DETECT=1 or
+// SetEnabled(true); disarmed it costs one relaxed atomic load per lock
+// operation. Reports print to stderr and accumulate (bounded);
+// CFS_RACE_ABORT=1 / SetAbortOnReport makes the first report fatal — the
+// mode the planted-race death tests and the CI race-audit job run in.
+// CFS_RACE_MAX_REPORTS bounds the retained list.
 
 #ifndef CFS_COMMON_RACE_DETECTOR_H_
 #define CFS_COMMON_RACE_DETECTOR_H_
@@ -71,8 +75,6 @@
 
 namespace cfs {
 namespace race {
-
-enum class LockMode : uint8_t { kExclusive = 0, kShared = 1 };
 
 struct Report {
   enum class Kind : uint8_t {
@@ -109,11 +111,12 @@ void SetAbortOnReport(bool abort_on_report);
 bool AbortOnReport();
 
 // ---------------------------------------------------------------------------
-// Hooks from the lock wrappers (thread_annotations.h) and lock_order's
-// logical-scope forwarding. `cls` is the lock_order class id; 0 is ignored.
+// Happens-before hooks, called by lock_order only while armed: the join
+// after a lock of class `cls` (> 0) is owned, and the publish before it is
+// released. Scope entries count as exclusive locks of their class.
 
-void OnLockAcquired(uint32_t cls, LockMode mode);
-void OnLockReleased(uint32_t cls, LockMode mode);
+void OnLockAcquired(uint32_t cls);
+void OnLockReleased(uint32_t cls);
 
 // Hooks from simtime::Scheduler, giving simulated tasks their own contexts
 // and the creator→event happens-before edge. OnTaskCreate returns a token
@@ -146,9 +149,10 @@ class AccessScope {
   const char* file_;
   int line_;
   bool armed_;
-  // Declared class's release count at entry; any change by destruction
-  // means the guard was dropped (even if reacquired) mid-region.
-  uint64_t release_epoch_at_entry_ = 0;
+  // Declared class's release count at entry (lock_order::ReleaseCount);
+  // any change by destruction means the guard was dropped (even if
+  // reacquired) mid-region.
+  uint64_t releases_at_entry_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -157,8 +161,6 @@ class AccessScope {
 size_t ReportCount();                 // total reports (including dropped)
 std::vector<Report> Reports();        // retained reports, oldest first
 void ResetForTest();                  // drops reports + location table + VCs
-size_t LocksHeldForTest();            // current context's lockset size
-bool HoldsForTest(uint32_t cls, LockMode mode);
 
 }  // namespace race
 }  // namespace cfs
@@ -172,9 +174,9 @@ bool HoldsForTest(uint32_t cls, LockMode mode);
 //   CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
 //   dir_epochs_[dir]++;
 //
-// No-ops (to the last token) when the detector is compiled out.
+// No-ops (to the last token) when the lock-order tracker is compiled out.
 
-#ifdef CFS_RACE_DETECT_ENABLED
+#ifdef CFS_LOCK_ORDER_TRACKING
 #define CFS_SHARED_WRITE(field, mu)                                       \
   ::cfs::race::RecordAccess(&(field), #field, (mu).order_class(),         \
                             /*is_write=*/true, __FILE__, __LINE__)

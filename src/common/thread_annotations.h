@@ -19,15 +19,24 @@
 //      invariants"): a lock may only be acquired while every held lock has a
 //      strictly smaller rank.
 //
-//   3. The runtime lock-order tracker (src/common/lock_order.h, compiled in
-//      when CFS_LOCK_ORDER_TRACKING is defined — the CFS_LOCK_ORDER CMake
-//      option, default ON). Every acquisition checks the rank rule and feeds
-//      a global held-before graph with cycle detection, so a potential
+//   3. The held-lock record (src/common/lock_order.h). The wrappers'
+//      acquire/release hooks call lock_order and nothing else; it keeps one
+//      per-thread record of held lock classes that three runtime checkers
+//      read. The lock-order tracker checks the rank rule and a global
+//      held-before graph before each blocking acquisition, so a potential
 //      deadlock aborts with both lock names the first time the inverted
 //      order is *executed* — even when the two acquisitions are separated by
 //      an RPC hop (SimNet handlers run on the caller's thread, so lock
 //      nesting spans "network" boundaries). The annotations cannot see that;
 //      TSan only reports it if two threads actually race into the deadlock.
+//      The critical-section scope auditor charges RPCs to the held entries,
+//      and the race detector (src/common/race_detector.h), when armed by env
+//      CFS_RACE_DETECT=1, derives its locksets from the record.
+//
+//      One switch compiles all three in: the CFS_LOCK_ORDER CMake option
+//      (default ON), seen here as lock_order::kTracking. With it off every
+//      hook is discarded by `if constexpr (kTrack)` and the wrappers are
+//      bare std mutexes.
 //
 // Lock naming convention (enforced by scripts/docs_lint.sh): construct every
 // mutex on a single line as  cfs::Mutex mu_{"subsystem.name", rank};  so the
@@ -44,15 +53,6 @@
 
 #include "src/common/lock_order.h"
 #include "src/common/race_detector.h"
-
-// Race-detector lockset hooks (src/common/race_detector.h) ride on the
-// lock-order class ids, so they exist only when both CFS_LOCK_ORDER and
-// CFS_RACE_DETECT are on (CMake enforces the dependency).
-#if defined(CFS_LOCK_ORDER_TRACKING) && defined(CFS_RACE_DETECT_ENABLED)
-#define CFS_RACE_LOCK_HOOK_(call) ::cfs::race::call
-#else
-#define CFS_RACE_LOCK_HOOK_(call) ((void)0)
-#endif
 
 // ---------------------------------------------------------------------------
 // Annotation macros (abseil/LLVM style). No-ops outside clang.
@@ -114,70 +114,50 @@ class CAPABILITY("mutex") Mutex {
                  lock_order::RpcHoldPolicy policy =
                      lock_order::RpcHoldPolicy::kNeverAcrossRpc,
                  const char* justification = nullptr) {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    order_class_ = lock_order::RegisterClass(name, rank, policy, justification);
-#else
-    (void)name;
-    (void)rank;
-    (void)policy;
-    (void)justification;
-#endif
+    if constexpr (kTrack) {
+      order_class_ =
+          lock_order::RegisterClass(name, rank, policy, justification);
+    }
   }
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
+  // Hook order (lock_order.h): the order check and push happen before
+  // blocking, the race detector's happens-before join once the mutex is
+  // owned, its publish before another thread can win the lock, and the
+  // schedule-fuzz point after the unlock.
   void Lock() ACQUIRE() {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnAcquire(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::OnAcquire(order_class_, kX);
     mu_.lock();
-    CFS_RACE_LOCK_HOOK_(
-        OnLockAcquired(order_class_, race::LockMode::kExclusive));
+    if constexpr (kTrack) lock_order::OnAcquired(order_class_);
   }
 
   void Unlock() RELEASE() {
-    // Race-detector hook first: the release→acquire happens-before edge
-    // must be published before another thread can win the lock.
-    CFS_RACE_LOCK_HOOK_(
-        OnLockReleased(order_class_, race::LockMode::kExclusive));
+    if constexpr (kTrack) lock_order::OnRelease(order_class_);
     mu_.unlock();
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnRelease(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::OnReleased();
   }
 
+  // try_lock never blocks, so it cannot close a deadlock cycle itself; it
+  // is recorded as held (without an order check) so that later blocking
+  // acquisitions are checked against it.
   bool TryLock() TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-#ifdef CFS_LOCK_ORDER_TRACKING
-    // try_lock never blocks, so it cannot close a deadlock cycle itself; it
-    // is recorded as held (without an order check) so that later blocking
-    // acquisitions are checked against it.
-    lock_order::OnTryAcquired(order_class_);
-#endif
-    CFS_RACE_LOCK_HOOK_(
-        OnLockAcquired(order_class_, race::LockMode::kExclusive));
+    if constexpr (kTrack) lock_order::OnTryAcquired(order_class_, kX);
     return true;
   }
 
   // Runtime claim that the calling thread holds this mutex's lock class
   // (the tracker cannot distinguish instances of one class). Aborts if not.
   void AssertHeld() const ASSERT_CAPABILITY(this) {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::AssertHeld(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::AssertHeld(order_class_);
   }
 
   // This mutex's lock-order class id (0 when tracking is compiled out).
   // The CFS_SHARED_READ/WRITE annotations use it to name the declared
   // guard in race reports.
-  uint32_t order_class() const {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    return order_class_;
-#else
-    return 0;
-#endif
-  }
+  uint32_t order_class() const { return order_class_; }
 
   // BasicLockable interface so std::condition_variable_any (cfs::CondVar)
   // can unlock/relock through the tracker hooks. Annotated identically.
@@ -186,10 +166,11 @@ class CAPABILITY("mutex") Mutex {
   bool try_lock() TRY_ACQUIRE(true) { return TryLock(); }
 
  private:
+  static constexpr bool kTrack = lock_order::kTracking;
+  static constexpr lock_order::LockMode kX = lock_order::LockMode::kExclusive;
+
   std::mutex mu_;
-#ifdef CFS_LOCK_ORDER_TRACKING
   uint32_t order_class_ = 0;
-#endif
 };
 
 // ---------------------------------------------------------------------------
@@ -203,83 +184,60 @@ class CAPABILITY("shared_mutex") SharedMutex {
                        lock_order::RpcHoldPolicy policy =
                            lock_order::RpcHoldPolicy::kNeverAcrossRpc,
                        const char* justification = nullptr) {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    order_class_ = lock_order::RegisterClass(name, rank, policy, justification);
-#else
-    (void)name;
-    (void)rank;
-    (void)policy;
-    (void)justification;
-#endif
+    if constexpr (kTrack) {
+      order_class_ =
+          lock_order::RegisterClass(name, rank, policy, justification);
+    }
   }
 
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
+  // Same hook order as Mutex; the record carries the mode.
   void Lock() ACQUIRE() {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnAcquire(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::OnAcquire(order_class_, kX);
     mu_.lock();
-    CFS_RACE_LOCK_HOOK_(
-        OnLockAcquired(order_class_, race::LockMode::kExclusive));
+    if constexpr (kTrack) lock_order::OnAcquired(order_class_);
   }
 
   void Unlock() RELEASE() {
-    CFS_RACE_LOCK_HOOK_(
-        OnLockReleased(order_class_, race::LockMode::kExclusive));
+    if constexpr (kTrack) lock_order::OnRelease(order_class_);
     mu_.unlock();
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnRelease(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::OnReleased();
   }
 
   void ReaderLock() ACQUIRE_SHARED() {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnAcquire(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::OnAcquire(order_class_, kS);
     mu_.lock_shared();
-    CFS_RACE_LOCK_HOOK_(OnLockAcquired(order_class_, race::LockMode::kShared));
+    if constexpr (kTrack) lock_order::OnAcquired(order_class_);
   }
 
   void ReaderUnlock() RELEASE_SHARED() {
-    CFS_RACE_LOCK_HOOK_(OnLockReleased(order_class_, race::LockMode::kShared));
+    if constexpr (kTrack) lock_order::OnRelease(order_class_);
     mu_.unlock_shared();
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnRelease(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::OnReleased();
   }
 
   bool TryLock() TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnTryAcquired(order_class_);
-#endif
-    CFS_RACE_LOCK_HOOK_(
-        OnLockAcquired(order_class_, race::LockMode::kExclusive));
+    if constexpr (kTrack) lock_order::OnTryAcquired(order_class_, kX);
     return true;
   }
 
   void AssertHeld() const ASSERT_CAPABILITY(this) {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::AssertHeld(order_class_);
-#endif
+    if constexpr (kTrack) lock_order::AssertHeld(order_class_);
   }
 
   // See Mutex::order_class().
-  uint32_t order_class() const {
-#ifdef CFS_LOCK_ORDER_TRACKING
-    return order_class_;
-#else
-    return 0;
-#endif
-  }
+  uint32_t order_class() const { return order_class_; }
 
  private:
+  static constexpr bool kTrack = lock_order::kTracking;
+  static constexpr lock_order::LockMode kX = lock_order::LockMode::kExclusive;
+  static constexpr lock_order::LockMode kS = lock_order::LockMode::kShared;
+
   std::shared_mutex mu_;
-#ifdef CFS_LOCK_ORDER_TRACKING
   uint32_t order_class_ = 0;
-#endif
 };
 
 // ---------------------------------------------------------------------------

@@ -112,13 +112,13 @@ Status SimNet::BeginCall(NodeId from, NodeId to, bool inject_latency) {
       return Status::Unavailable("network partition");
     }
   }
-#ifdef CFS_LOCK_ORDER_TRACKING
   // Critical-section scope audit: charge this round trip to every lock the
   // calling thread holds (and report if any is kNeverAcrossRpc). Must run
   // with the fault-check lock above already released — simnet.node itself
   // is a never-across-rpc class.
-  lock_order::OnRpcEdge(nodes_[from].name.c_str(), nodes_[to].name.c_str());
-#endif
+  if constexpr (lock_order::kTracking) {
+    lock_order::OnRpcEdge(nodes_[from].name.c_str(), nodes_[to].name.c_str());
+  }
   // Preemption point for schedule fuzzing: an RPC edge is where a task's
   // timing slides against its peers (DESIGN.md §12).
   simtime::FuzzPoint(simtime::FuzzKind::kRpcEdge);
@@ -156,10 +156,10 @@ size_t SimNet::Multicast(NodeId from, const std::vector<NodeId>& to,
         continue;
       }
     }
-#ifdef CFS_LOCK_ORDER_TRACKING
-    lock_order::OnRpcEdge(nodes_[from].name.c_str(),
-                          nodes_[dest].name.c_str());
-#endif
+    if constexpr (lock_order::kTracking) {
+      lock_order::OnRpcEdge(nodes_[from].name.c_str(),
+                            nodes_[dest].name.c_str());
+    }
     simtime::FuzzPoint(simtime::FuzzKind::kRpcEdge);
     // The concurrent fan-out completes when the slowest call does: charge
     // one round trip of injected latency for the whole batch.

@@ -36,29 +36,22 @@ LockManager::LockManager(LockManagerOptions options, const Clock* clock,
                          const char* scope_class,
                          const char* scope_justification)
     : options_(options), clock_(clock) {
-#ifdef CFS_LOCK_ORDER_TRACKING
   // Rank 0: logical scope entries are exempt from the rank/cycle checks
   // (deadlock escape is the timeout above); the class exists for the
   // RPC-under-lock and hold-span audit.
-  scope_class_ = lock_order::RegisterClass(
-      scope_class, 0, lock_order::RpcHoldPolicy::kAllowedAcrossRpc,
-      scope_justification);
-#else
-  (void)scope_class;
-  (void)scope_justification;
-#endif
+  if constexpr (lock_order::kTracking) {
+    scope_class_ = lock_order::RegisterClass(
+        scope_class, 0, lock_order::RpcHoldPolicy::kAllowedAcrossRpc,
+        scope_justification);
+  }
 }
 
 void LockManager::ScopeEnter() {
-#ifdef CFS_LOCK_ORDER_TRACKING
-  lock_order::OnScopeEnter(scope_class_);
-#endif
+  if constexpr (lock_order::kTracking) lock_order::OnScopeEnter(scope_class_);
 }
 
 void LockManager::ScopeExit() {
-#ifdef CFS_LOCK_ORDER_TRACKING
-  lock_order::OnScopeExit(scope_class_);
-#endif
+  if constexpr (lock_order::kTracking) lock_order::OnScopeExit(scope_class_);
 }
 
 bool LockManager::CanGrantLocked(const Entry& e, TxnId txn, LockMode mode,

@@ -115,9 +115,7 @@ class LockManager {
   // tsa-coverage: allow(immutable after construction)
   LockManagerOptions options_;
   const Clock* clock_;
-#ifdef CFS_LOCK_ORDER_TRACKING
   uint32_t scope_class_ = 0;
-#endif
   // Per-manager table lock. Held only for table bookkeeping — blocked
   // acquisitions wait on cv_ with mu_ released, and no other cfs lock is
   // ever taken underneath it (Metrics() instruments are cached pointers).

@@ -21,6 +21,17 @@ std::string TargetDir(size_t thread, double contention_rate, Rng& rng) {
   return PrivateDir(thread);
 }
 
+// First `seq` of the next Run/RunSimulated call in this process. Created
+// names embed (thread, seq), so a run that restarted at 0 would recreate
+// the names an earlier run on the same system made and time the EEXIST
+// path (Fig 9(b)'s single-client leg after the peak leg). A counter, not
+// the clock, so same-seed simulated runs stay byte-identical. Each run
+// gets 2^32 sequence numbers, a multiple of every op factory's cycle.
+uint64_t NextRunSeqBase() {
+  static std::atomic<uint64_t> runs{0};
+  return runs.fetch_add(1, std::memory_order_relaxed) << 32;
+}
+
 }  // namespace
 
 std::string_view MetaOpName(MetaOp op) {
@@ -52,13 +63,14 @@ RunResult WorkloadRunner::Run(const OpFn& op, int64_t duration_ms,
   // Causal-trace op name: the run's label when given ("fig9.cfs.create"),
   // so retained span trees say which bench op produced them.
   const char* op_name = trace_label.empty() ? "op" : trace_label.c_str();
+  const uint64_t seq_base = NextRunSeqBase();
 
   std::vector<std::thread> threads;
   threads.reserve(clients_.size());
   for (size_t t = 0; t < clients_.size(); t++) {
     threads.emplace_back([&, t] {
       Rng rng(0xbadc0ffee ^ (t * 0x9e3779b9));
-      uint64_t seq = 0;
+      uint64_t seq = seq_base;
       uint64_t ops = 0;
       uint64_t errors = 0;
       PhaseBreakdown local;
@@ -125,7 +137,7 @@ RunResult WorkloadRunner::RunSimulated(simtime::Scheduler& sched,
   Histogram latency;
   PhaseBreakdown phases;
   std::vector<Rng> rngs;
-  std::vector<uint64_t> seqs(clients_.size(), 0);
+  std::vector<uint64_t> seqs(clients_.size(), NextRunSeqBase());
   rngs.reserve(clients_.size());
   for (size_t t = 0; t < clients_.size(); t++) {
     // Same per-client stream family as Run(), keyed on the scheduler seed

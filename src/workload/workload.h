@@ -118,7 +118,8 @@ Status PopulateDirectory(std::vector<MetadataClient*> clients,
 // ---- op factories (mdtest phases) ----
 // `contention_rate` in [0,1]: probability of targeting /shared instead of
 // the thread's private directory. Created names embed (thread, seq) so they
-// never collide.
+// never collide, also across runs: each Run/RunSimulated call starts `seq`
+// at its own offset.
 
 OpFn MakeCreateOp(double contention_rate);
 OpFn MakeUnlinkAfterCreateOp(double contention_rate);  // create then unlink

@@ -147,7 +147,7 @@ TEST_F(CsScopeTest, ScopeEntriesAreExemptFromSelfAndRankChecks) {
   lock_order::OnScopeExit(cls);
   EXPECT_TRUE(violations_.empty());
   EXPECT_EQ(ScopeOf("t.cs.exempt.rowlock").holds, 2u);
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
 }
 
 TEST_F(CsScopeTest, EnforcementOffCountsWithoutReporting) {

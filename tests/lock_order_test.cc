@@ -54,7 +54,7 @@ TEST_F(LockOrderTest, RankRespectingNestingIsSilent) {
     EXPECT_TRUE(violations_.empty());
   }
   EXPECT_TRUE(violations_.empty());
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
 }
 
 TEST_F(LockOrderTest, RankInversionReportsBothNames) {
@@ -167,14 +167,14 @@ TEST_F(LockOrderTest, RecursiveAcquisitionReportsSelf) {
   // deadlock before the expectation ran. In production the report aborts,
   // so the underlying relock is never reached.
   uint32_t cls = lock_order::RegisterClass("t.self.mu", 0);
-  lock_order::OnAcquire(cls);
-  lock_order::OnAcquire(cls);
+  lock_order::OnAcquire(cls, lock_order::LockMode::kExclusive);
+  lock_order::OnAcquire(cls, lock_order::LockMode::kExclusive);
   ASSERT_GE(violations_.size(), 1u);
   EXPECT_EQ(violations_[0].kind, Violation::Kind::kSelf);
   EXPECT_EQ(violations_[0].acquiring, "t.self.mu");
   lock_order::OnRelease(cls);
   lock_order::OnRelease(cls);
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
 }
 
 TEST_F(LockOrderTest, RepeatedInversionKeepsReporting) {
@@ -201,7 +201,7 @@ TEST_F(LockOrderTest, TryLockIsRecordedButNotChecked) {
     // A try-acquisition never blocks, so it is exempt from the order check…
     ASSERT_TRUE(low.TryLock());
     EXPECT_TRUE(violations_.empty());
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 2u);
+    EXPECT_EQ(lock_order::HeldLocks().size(), 2u);
     low.Unlock();
   }
   // …but a blocking acquisition made while a try-lock is held is checked
@@ -221,13 +221,13 @@ TEST_F(LockOrderTest, SharedMutexParticipatesInOrdering) {
   Mutex low{"t.shared.low", 140};
   {
     ReaderMutexLock r(rw);
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 1u);
+    EXPECT_EQ(lock_order::HeldLocks().size(), 1u);
   }
   {
     WriterMutexLock w(rw);
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 1u);
+    EXPECT_EQ(lock_order::HeldLocks().size(), 1u);
   }
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
   EXPECT_TRUE(violations_.empty());
   // Shared acquisitions obey the rank rule too.
   {
@@ -261,7 +261,7 @@ TEST_F(LockOrderTest, CondVarWaitReleasesAndReacquiresThroughTracker) {
       cv.Wait(mu);
     }
     // The wait's relock went through OnAcquire: the lock is tracked as held.
-    depth_after_wait = lock_order::HeldDepthForTest();
+    depth_after_wait = lock_order::HeldLocks().size();
   });
   {
     MutexLock lock(mu);
@@ -271,7 +271,7 @@ TEST_F(LockOrderTest, CondVarWaitReleasesAndReacquiresThroughTracker) {
   waiter.join();
   EXPECT_EQ(depth_after_wait, 1u);
   EXPECT_TRUE(violations_.empty());
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
 }
 
 TEST_F(LockOrderTest, CondVarWaitUntilTimesOut) {
@@ -282,39 +282,20 @@ TEST_F(LockOrderTest, CondVarWaitUntilTimesOut) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
   EXPECT_FALSE(cv.WaitUntil(mu, deadline));
   // Timed-out wait still re-acquired: the held stack is balanced.
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 1u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 1u);
 }
 
 TEST_F(LockOrderTest, RelockableMutexLockBalancesTheStack) {
   Mutex mu{"t.relock.mu", 160};
   {
     MutexLock lock(mu);
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 1u);
+    EXPECT_EQ(lock_order::HeldLocks().size(), 1u);
     lock.Unlock();
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
+    EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
     lock.Lock();
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 1u);
+    EXPECT_EQ(lock_order::HeldLocks().size(), 1u);
   }
-  EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
-  EXPECT_TRUE(violations_.empty());
-}
-
-TEST_F(LockOrderTest, DisabledTrackerRecordsNothing) {
-  Mutex a{"t.disabled.a", 0};
-  Mutex b{"t.disabled.b", 0};
-  lock_order::SetEnabled(false);
-  {
-    MutexLock la(a);
-    MutexLock lb(b);
-    EXPECT_EQ(lock_order::HeldDepthForTest(), 0u);
-  }
-  lock_order::SetEnabled(true);
-  {
-    // No a -> b edge was recorded above, so the "inverted" order is the
-    // first order the tracker sees — silent.
-    MutexLock lb(b);
-    MutexLock la(a);
-  }
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
   EXPECT_TRUE(violations_.empty());
 }
 

@@ -1,9 +1,10 @@
 // Tests for the dynamic race & atomicity auditor (src/common/race_detector.h):
-// lockset tracking across Mutex/SharedMutex modes, the unheld-declared-lock
-// and Eraser lockset-empty checks, happens-before exoneration (init-then-share
-// and same-lock handoff), AccessScope atomicity, seeded reproducibility of
-// report fingerprints under schedule fuzzing, and the abort-on-report mode
-// the CI race-audit job runs in.
+// locksets read from lock_order's held-lock record across Mutex/SharedMutex
+// modes, locks taken before arming, LockManager row-lock scope entries, the
+// unheld-declared-lock and Eraser lockset-empty checks, happens-before
+// exoneration (init-then-share and same-lock handoff), AccessScope
+// atomicity, seeded reproducibility of report fingerprints under schedule
+// fuzzing, and the abort-on-report mode the CI race-audit job runs in.
 
 #include "src/common/race_detector.h"
 
@@ -12,13 +13,26 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/lock_order.h"
 #include "src/common/simtime.h"
 #include "src/common/thread_annotations.h"
+#include "src/txn/lock_manager.h"
 
 namespace cfs {
 namespace {
 
-#if defined(CFS_RACE_DETECT_ENABLED) && defined(CFS_LOCK_ORDER_TRACKING)
+#ifdef CFS_LOCK_ORDER_TRACKING
+
+constexpr lock_order::LockMode kExcl = lock_order::LockMode::kExclusive;
+constexpr lock_order::LockMode kShared = lock_order::LockMode::kShared;
+
+// True if the calling thread's held-lock record has `cls` in `mode`.
+bool Holds(uint32_t cls, lock_order::LockMode mode) {
+  for (const lock_order::Held& h : lock_order::HeldLocks()) {
+    if (h.cls == cls && h.mode == mode) return true;
+  }
+  return false;
+}
 
 class RaceDetectorTest : public ::testing::Test {
  protected:
@@ -46,30 +60,71 @@ class RaceDetectorTest : public ::testing::Test {
 TEST_F(RaceDetectorTest, LocksetTracksExclusiveAndSharedModes) {
   Mutex mu{"t.race.ls.mu", 0};
   SharedMutex smu{"t.race.ls.smu", 0};
-  EXPECT_EQ(race::LocksHeldForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
   {
     MutexLock lock(mu);
-    EXPECT_TRUE(race::HoldsForTest(mu.order_class(), race::LockMode::kExclusive));
-    EXPECT_FALSE(race::HoldsForTest(mu.order_class(), race::LockMode::kShared));
-    EXPECT_EQ(race::LocksHeldForTest(), 1u);
+    EXPECT_TRUE(Holds(mu.order_class(), kExcl));
+    EXPECT_FALSE(Holds(mu.order_class(), kShared));
+    EXPECT_EQ(lock_order::HeldLocks().size(), 1u);
     {
       ReaderMutexLock rlock(smu);
-      EXPECT_TRUE(
-          race::HoldsForTest(smu.order_class(), race::LockMode::kShared));
-      EXPECT_FALSE(
-          race::HoldsForTest(smu.order_class(), race::LockMode::kExclusive));
-      EXPECT_EQ(race::LocksHeldForTest(), 2u);
+      EXPECT_TRUE(Holds(smu.order_class(), kShared));
+      EXPECT_FALSE(Holds(smu.order_class(), kExcl));
+      EXPECT_EQ(lock_order::HeldLocks().size(), 2u);
     }
-    EXPECT_FALSE(race::HoldsForTest(smu.order_class(), race::LockMode::kShared));
+    EXPECT_FALSE(Holds(smu.order_class(), kShared));
   }
   {
     WriterMutexLock wlock(smu);
-    EXPECT_TRUE(
-        race::HoldsForTest(smu.order_class(), race::LockMode::kExclusive));
-    EXPECT_FALSE(race::HoldsForTest(smu.order_class(), race::LockMode::kShared));
+    EXPECT_TRUE(Holds(smu.order_class(), kExcl));
+    EXPECT_FALSE(Holds(smu.order_class(), kShared));
   }
-  EXPECT_EQ(race::LocksHeldForTest(), 0u);
+  EXPECT_EQ(lock_order::HeldLocks().size(), 0u);
   EXPECT_EQ(race::ReportCount(), 0u);
+}
+
+TEST_F(RaceDetectorTest, LockTakenBeforeArmingCounts) {
+  // The detector reads the tracker's record, which is kept whether or not
+  // the detector is armed: a lock taken while disarmed still guards
+  // accesses made after arming.
+  race::SetEnabled(false);
+  Mutex mu{"t.race.prearm.mu", 0};
+  int field = 0;
+  {
+    MutexLock lock(mu);
+    race::SetEnabled(true);
+    CFS_SHARED_WRITE(field, mu);
+    field = 1;
+  }
+  EXPECT_EQ(race::ReportCount(), 0u);
+}
+
+TEST_F(RaceDetectorTest, RowLockScopeEntrySatisfiesItsScopeClass) {
+  // A LockManager's row locks enter the record as scope entries of its
+  // scope class, so an access declared on that class is guarded while the
+  // transaction holds a row lock, and unguarded once it released them all.
+  const char* kJustification = "test row locks held across round trips";
+  LockManager lm(LockManagerOptions{}, RealClock::Get(), "t.race.rowlock",
+                 kJustification);
+  uint32_t cls = lock_order::RegisterClass(
+      "t.race.rowlock", 0, lock_order::RpcHoldPolicy::kAllowedAcrossRpc,
+      kJustification);
+  int row = 0;
+  auto write_row = [&] {
+    race::RecordAccess(&row, "row", cls, /*is_write=*/true, __FILE__,
+                       __LINE__);
+  };
+  ASSERT_TRUE(lm.Lock(/*txn=*/1, "k", LockMode::kExclusive).ok());
+  EXPECT_TRUE(Holds(cls, kExcl));
+  write_row();
+  EXPECT_EQ(race::ReportCount(), 0u);
+  lm.UnlockAll(1);  // last row lock released: ScopeExit
+  EXPECT_FALSE(Holds(cls, kExcl));
+  write_row();
+  auto reports = ReportsOfKind(race::Report::Kind::kUnheldDeclaredLock);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].declared_lock, "t.race.rowlock");
+  EXPECT_EQ(reports[0].locks_held, "<none>");
 }
 
 // --- The declaration check (unheld-declared-lock) ------------------------
@@ -382,14 +437,15 @@ TEST_F(RaceDetectorDeathTest, PlantedRaceAbortsNamingTheViolation) {
 
 #else
 
-TEST(RaceDetectorTest, DisabledBuildStubsAreInert) {
+TEST(RaceDetectorTest, UntrackedBuildIsInert) {
+  race::SetEnabled(true);  // cannot arm without the held-lock record
   int field = 0;
   race::RecordAccess(&field, "field", 0, true, __FILE__, __LINE__);
   EXPECT_EQ(race::ReportCount(), 0u);
   EXPECT_FALSE(race::Enabled());
 }
 
-#endif  // CFS_RACE_DETECT_ENABLED && CFS_LOCK_ORDER_TRACKING
+#endif  // CFS_LOCK_ORDER_TRACKING
 
 }  // namespace
 }  // namespace cfs

@@ -57,6 +57,22 @@ TEST_F(WorkloadTest, CreateOpRunsErrorFree) {
   EXPECT_GT(result.latency.count(), 0);
 }
 
+TEST_F(WorkloadTest, BackToBackCreateRunsAreErrorFree) {
+  // Fig 9's shape: a peak leg, then a single-client leg on a fresh runner
+  // over the same namespace, then the same runner again. Each run must
+  // create new names rather than time EEXIST on the earlier runs' names.
+  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 2).ok());
+  WorkloadRunner peak(Clients(2));
+  RunResult first = peak.Run(MakeCreateOp(0.0), 150, 0);
+  WorkloadRunner light(Clients(1));
+  RunResult second = light.Run(MakeCreateOp(0.0), 150, 0);
+  RunResult third = light.Run(MakeCreateOp(0.0), 150, 0);
+  for (const RunResult* r : {&first, &second, &third}) {
+    EXPECT_GT(r->ops, 0u);
+    EXPECT_EQ(r->errors, 0u);
+  }
+}
+
 TEST_F(WorkloadTest, ContentionTargetsSharedDirectory) {
   ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 2).ok());
   WorkloadRunner runner(Clients(2));
