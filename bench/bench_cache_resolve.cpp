@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/clock.h"
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 
@@ -81,33 +80,22 @@ std::string DeepPath(size_t t, uint64_t j, uint64_t i) {
          std::to_string(i);
 }
 
-// Runs `clients` threads of deep-path getattrs for DurationMs; returns kops.
-double RunLookupLoad(const System& system, size_t clients,
-                     std::atomic<bool>* stop_flag) {
-  auto handles = system.MakeClients(clients);
-  std::atomic<uint64_t> ops{0};
-  std::atomic<bool> local_stop{false};
-  std::atomic<bool>* stop = stop_flag != nullptr ? stop_flag : &local_stop;
-
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < clients; t++) {
-    MetadataClient* client = handles[t].get();
-    threads.emplace_back([client, t, stop, &ops] {
-      Rng rng(0x9d5f + t);
-      uint64_t local = 0;
-      while (!stop->load(std::memory_order_relaxed)) {
-        auto info = client->GetAttr(DeepPath(t, rng.Uniform(kDirsPerClient),
-                                             rng.Uniform(kFilesPerDir)));
-        if (info.ok()) local++;
-      }
-      ops.fetch_add(local);
-    });
-  }
-  Stopwatch watch;
-  std::this_thread::sleep_for(std::chrono::milliseconds(DurationMs()));
-  stop->store(true);
-  for (auto& thread : threads) thread.join();
-  return static_cast<double>(ops.load()) / 1000.0 / watch.ElapsedSeconds();
+// Runs `clients` closed-loop clients of deep-path getattrs on threads for
+// DurationMs; returns successful kops.
+double RunLookupLoad(const System& system, size_t clients) {
+  auto owned = system.MakeClients(clients);
+  ThreadExecutor threads;
+  RunResult result = RunClosedLoop(
+      threads, RawClients(owned),
+      [](MetadataClient* client, size_t t, uint64_t, Rng& rng) {
+        return client
+            ->GetAttr(DeepPath(t, rng.Uniform(kDirsPerClient),
+                               rng.Uniform(kFilesPerDir)))
+            .status();
+      },
+      Loop::Timed(DurationMs()));
+  return static_cast<double>(result.ops - result.errors) / 1000.0 /
+         result.seconds;
 }
 
 void PrintRow(const std::string& label, double kops,
@@ -136,7 +124,7 @@ void CapacitySweep(size_t clients) {
     PopulateDeepTree(system, clients);
 
     CacheCounters before = ReadCounters();
-    double kops = RunLookupLoad(system, clients, nullptr);
+    double kops = RunLookupLoad(system, clients);
     CacheCounters after = ReadCounters();
     PrintRow("capacity=" + std::to_string(capacity), kops,
              Delta(before, after));
@@ -176,8 +164,9 @@ void RenameChurnSweep(size_t clients) {
     });
 
     CacheCounters before = ReadCounters();
-    double kops = RunLookupLoad(system, clients, &stop);
+    double kops = RunLookupLoad(system, clients);
     CacheCounters after = ReadCounters();
+    stop.store(true);
     churn.join();
     PrintRow("renames/s=" + std::to_string(rate) +
                  " (did " + std::to_string(renames.load()) + ")",

@@ -17,7 +17,7 @@
 // Simulation mode (DESIGN.md §11). CFS_SIM=1 switches every bench from
 // sleep-injected latency + one OS thread per client to a discrete-event
 // virtual clock (LatencyMode::kVirtual, inline raft replication, GC off)
-// with simulated clients (WorkloadRunner::RunSimulated). Runs are
+// with one scheduler task per client (SchedulerExecutor). Runs are
 // deterministic: same seed, same results, bit for bit. Sim knobs:
 //   CFS_SIM             (default 0)    1 = simulate
 //   CFS_SIM_SEED        (default 42)   scheduler + jitter + workload seed
@@ -247,49 +247,74 @@ inline std::vector<std::function<System()>> AllSystems() {
   return {MakeHopsFs, MakeInfiniFs, MakeCfsFull};
 }
 
-// Populates /priv<t> (one per client) and /shared with `files` each.
+// A fresh executor for one loop: one OS thread per client, or with `sim`
+// one task per client on a new scheduler seeded with `seed`, so every loop
+// replays on its own from the seed.
+inline std::unique_ptr<Executor> NewExecutor(bool sim, uint64_t seed) {
+  if (sim) return std::make_unique<SchedulerExecutor>(seed);
+  return std::make_unique<ThreadExecutor>();
+}
+
+// Makes /priv<t> (one per client) and /shared, then fills each private dir
+// with `files_per_dir` files and /shared with `shared_files`. By default a
+// setup client makes the directories and 8 more clients fill them on
+// threads. With `on_scheduler`, the setup client does all of it on a
+// scheduler seeded with CFS_SIM_SEED, one op per task: modelled delays then
+// accrue as virtual time instead of real sleeps, and one client creating in
+// a fixed order fixes every inode id.
 inline void PreparePopulation(const System& system, size_t clients,
-                              size_t files_per_dir, size_t shared_files) {
+                              size_t files_per_dir, size_t shared_files,
+                              bool on_scheduler = false) {
+  std::unique_ptr<Executor> exec = NewExecutor(on_scheduler, Sim().seed);
   auto setup = system.new_client();
-  Status st = SetupPrivateDirs(setup.get(), clients);
+  Status st = SetupPrivateDirs(*exec, setup.get(), clients);
   if (!st.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
     std::exit(1);
   }
-  auto workers = system.MakeClients(8);
-  std::vector<MetadataClient*> raw;
-  for (auto& w : workers) raw.push_back(w.get());
-  if (files_per_dir > 0) {
-    for (size_t t = 0; t < clients; t++) {
-      (void)PopulateDirectory(raw, "/priv" + std::to_string(t),
-                              files_per_dir);
-    }
+  auto fillers = system.MakeClients(on_scheduler ? 0 : 8);
+  std::vector<MetadataClient*> workers =
+      on_scheduler ? std::vector<MetadataClient*>{setup.get()}
+                   : RawClients(fillers);
+  std::vector<std::string> private_dirs;
+  for (size_t t = 0; t < clients; t++) {
+    private_dirs.push_back("/priv" + std::to_string(t));
   }
-  if (shared_files > 0) {
-    (void)PopulateDirectory(raw, "/shared", shared_files);
-  }
+  (void)PopulateDirectories(*exec, workers, private_dirs, files_per_dir);
+  (void)PopulateDirectories(*exec, workers, {"/shared"}, shared_files);
 }
 
 // Closed loop of `op` over `clients` fresh clients of `system` — the one
 // call every fig bench measures through, so CFS_SIM transparently switches
 // the whole suite. Wall-clock mode: one OS thread per client for
-// `duration_ms` (+ `warmup_ms`). Sim mode: simulated clients on a fresh
+// `duration_ms` (+ `warmup_ms`). Sim mode: one task per client on a fresh
 // scheduler seeded with CFS_SIM_SEED, for CFS_SIM_DURATION_MS of virtual
 // time (the caller's durations are wall-clock budgets and do not apply);
 // the client count still comes from the caller, so sweeps keep their
 // shape, and each point gets its own scheduler, so points are
-// independently replayable.
+// independently replayable. A benchmark number measures ops that
+// succeeded: a run with any failed op prints the system, label, op and
+// error counts and exits nonzero.
 inline RunResult RunWorkload(const System& system, size_t clients,
                              const OpFn& op, int64_t duration_ms,
                              int64_t warmup_ms,
                              const std::string& trace_label = "") {
-  WorkloadRunner runner(system.MakeClients(clients));
-  if (!Sim().enabled) {
-    return runner.Run(op, duration_ms, warmup_ms, trace_label);
+  const SimConfig& sim = Sim();
+  auto owned = system.MakeClients(clients);
+  std::unique_ptr<Executor> exec = NewExecutor(sim.enabled, sim.seed);
+  RunResult result = RunClosedLoop(
+      *exec, RawClients(owned), op,
+      sim.enabled ? Loop::Timed(sim.duration_ms, sim.warmup_ms)
+                  : Loop::Timed(duration_ms, warmup_ms),
+      trace_label);
+  if (result.errors > 0) {
+    std::fprintf(stderr, "%s run '%s': %llu of %llu ops failed\n",
+                 system.name.c_str(), trace_label.c_str(),
+                 static_cast<unsigned long long>(result.errors),
+                 static_cast<unsigned long long>(result.ops));
+    std::exit(1);
   }
-  simtime::Scheduler sched(Sim().seed);
-  return runner.RunSimulated(sched, op, Sim().duration_ms, Sim().warmup_ms,
-                             trace_label);
+  return result;
 }
 
 inline void PrintHeader(const std::string& title) {

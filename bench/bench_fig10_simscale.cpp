@@ -64,69 +64,27 @@ void PrintLeg(const char* mode, size_t clients, const Leg& leg) {
               leg.result.latency.P99());
 }
 
-// Sim-leg population: one scheduler task creating every dir and file
-// sequentially, so WAL fsync and RPC delays accrue onto the VIRTUAL clock
-// instead of being paid as real sleeps — at 10k clients the population is
-// ~90k metadata ops, which would otherwise dominate the leg's wall time.
-// The resulting namespace is identical to PreparePopulation's.
-void PreparePopulationSim(const System& system, size_t clients,
-                          size_t files_per_dir, uint64_t seed) {
-  auto setup = system.new_client();
-  simtime::Scheduler sched(seed);
-  Status failed = Status::Ok();
-  sched.At(0, [&] {
-    Status st = SetupPrivateDirs(setup.get(), clients);
-    if (!st.ok()) {
-      failed = st;
-      return;
-    }
-    for (size_t t = 0; t < clients; t++) {
-      std::string dir = "/priv" + std::to_string(t);
-      for (size_t i = 0; i < files_per_dir; i++) {
-        st = setup->Create(dir + "/f" + std::to_string(i), 0644);
-        if (!st.ok() && !st.IsAlreadyExists()) {
-          failed = st;
-          return;
-        }
-      }
-    }
-  });
-  sched.RunUntil(1);
-  if (!failed.ok()) {
-    std::fprintf(stderr, "[simscale] sim population failed: %s\n",
-                 failed.ToString().c_str());
-    std::exit(1);
-  }
-}
-
-// Runs the two Fig 10 workloads against `system`. In sim mode each workload
-// gets a fresh scheduler seeded with `seed`, so a point is replayable on
-// its own; in wall mode plain OS-thread Run() is used.
+// Runs the two Fig 10 workloads against `system` after populating it. In
+// sim mode the population and each workload get a fresh scheduler seeded
+// with CFS_SIM_SEED, so a point is replayable on its own. The population
+// runs on a scheduler too, so its modelled delays cost virtual time, not
+// sleeps: at the defaults it is 10k mkdirs and 20k creates.
 std::vector<Leg> RunLegs(const System& system, size_t clients,
-                         size_t files_per_dir, bool sim, uint64_t seed,
-                         int64_t duration_ms, int64_t warmup_ms) {
+                         size_t files_per_dir, bool sim, const Loop& loop) {
   double pop_secs = WallSeconds([&] {
-    if (sim) {
-      PreparePopulationSim(system, clients, files_per_dir, seed);
-    } else {
-      PreparePopulation(system, clients, files_per_dir, 0);
-    }
+    PreparePopulation(system, clients, files_per_dir, 0, /*on_scheduler=*/sim);
   });
   std::vector<Leg> legs;
   const std::vector<std::pair<std::string, OpFn>> workloads = {
       {"create", MakeCreateOp(0.0)},
       {"getattr", MakeGetAttrOp(0.0, files_per_dir, 0)},
   };
-  WorkloadRunner runner(system.MakeClients(clients));
+  auto owned = system.MakeClients(clients);
   for (const auto& [name, op] : workloads) {
     RunResult result;
     double secs = WallSeconds([&] {
-      if (sim) {
-        simtime::Scheduler sched(seed);
-        result = runner.RunSimulated(sched, op, duration_ms, warmup_ms);
-      } else {
-        result = runner.Run(op, duration_ms, warmup_ms);
-      }
+      result = RunClosedLoop(*NewExecutor(sim, Sim().seed), RawClients(owned),
+                             op, loop);
     });
     std::fprintf(stderr, "[simscale] %s %s leg: %.2fs (population %.2fs)\n",
                  sim ? "sim" : "real", name.c_str(), secs, pop_secs);
@@ -197,7 +155,7 @@ int main() {
     std::vector<Leg> legs;
     real_secs = WallSeconds([&] {
       legs = RunLegs(system, real_clients, files_per_dir, /*sim=*/false,
-                     seed, real_duration_ms, real_duration_ms / 4);
+                     Loop::Timed(real_duration_ms, real_duration_ms / 4));
     });
     for (const Leg& leg : legs) PrintLeg("real", real_clients, leg);
     std::printf("  real leg wall clock: %.2fs\n", real_secs);
@@ -215,8 +173,8 @@ int main() {
       "CFS-sim", WithSimMode(BenchCfsOptions(CfsFullOptions()), seed));
   std::vector<Leg> legs;
   double sim_secs = WallSeconds([&] {
-    legs = RunLegs(system, sim_clients, files_per_dir, /*sim=*/true, seed,
-                   sim_duration_ms, sim_warmup_ms);
+    legs = RunLegs(system, sim_clients, files_per_dir, /*sim=*/true,
+                   Loop::Timed(sim_duration_ms, sim_warmup_ms));
   });
   for (const Leg& leg : legs) {
     PrintLeg("sim", sim_clients, leg);

@@ -42,9 +42,9 @@ int main() {
     (void)setup->Mkdir("/bigdir", 0755);
     {
       auto workers = system.MakeClients(16);
-      std::vector<MetadataClient*> raw;
-      for (auto& w : workers) raw.push_back(w.get());
-      Status st = PopulateDirectory(raw, "/bigdir", population);
+      ThreadExecutor threads;
+      Status st = PopulateDirectories(threads, RawClients(workers), {"/bigdir"},
+                                      population);
       if (!st.ok()) {
         std::fprintf(stderr, "populate failed: %s\n", st.ToString().c_str());
         return 1;

@@ -44,15 +44,16 @@ int main() {
       TraceReplayer replayer(spec, config);
 
       auto setup = system.new_client();
-      auto populate_owned = system.MakeClients(8);
-      std::vector<MetadataClient*> populate;
-      for (auto& c : populate_owned) populate.push_back(c.get());
-      Status st = replayer.Prepare(setup.get(), populate);
+      auto populate = system.MakeClients(8);
+      ThreadExecutor threads;
+      Status st = replayer.Prepare(threads, setup.get(), RawClients(populate));
       if (!st.ok()) {
         std::fprintf(stderr, "prepare failed: %s\n", st.ToString().c_str());
         return 1;
       }
-      TraceReplayResult result = replayer.Replay(system.MakeClients(clients));
+      auto replay_clients = system.MakeClients(clients);
+      TraceReplayResult result =
+          replayer.Replay(threads, RawClients(replay_clients));
       row.push_back(Cell{result.fs_ops_per_sec() / 1000.0,
                          result.meta_ops_per_sec() / 1000.0,
                          result.fs_latency.P999(),

@@ -37,22 +37,14 @@ int main() {
     }
     {
       auto workers = system.MakeClients(8);
-      std::atomic<size_t> cursor{0};
-      std::vector<std::thread> threads;
-      for (auto& w : workers) {
-        threads.emplace_back([&, client = w.get()] {
-          for (;;) {
-            size_t i = cursor.fetch_add(1);
-            if (i >= clients * kFilesPerThread) return;
-            size_t t = i / kFilesPerThread;
-            size_t f = i % kFilesPerThread;
-            (void)client->Create("/ren/t" + std::to_string(t) + "/r" +
-                                     std::to_string(f) + "_a",
-                                 0644);
-          }
-        });
-      }
-      for (auto& th : threads) th.join();
+      ThreadExecutor threads;
+      (void)RunPartitioned(
+          threads, RawClients(workers), clients * kFilesPerThread,
+          [](MetadataClient* client, size_t i, Rng&) {
+            std::string dir = "/ren/t" + std::to_string(i / kFilesPerThread);
+            return client->Create(
+                dir + "/r" + std::to_string(i % kFilesPerThread) + "_a", 0644);
+          });
     }
 
     RunResult result =

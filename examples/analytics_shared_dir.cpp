@@ -8,46 +8,34 @@
 // the lock-based configuration (CFS-base), printing the throughput gap —
 // a miniature of Figure 11.
 
-#include <atomic>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
-#include "src/common/clock.h"
 #include "src/core/cfs.h"
 #include "src/core/gc.h"
+#include "src/workload/workload.h"
 
 namespace {
 
-struct JobResult {
-  double seconds = 0;
-  uint64_t parts = 0;
-};
-
-JobResult RunJob(cfs::Cfs* fs, size_t reducers, size_t parts_per_reducer) {
+// Returns the job's closed-loop result: one op per part-file.
+cfs::RunResult RunJob(cfs::Cfs* fs, size_t reducers, size_t parts_per_reducer) {
   using namespace cfs;
   auto setup = fs->NewClient();
   (void)setup->Mkdir("/output", 0755);
 
-  Stopwatch watch;
-  std::atomic<uint64_t> written{0};
-  std::vector<std::thread> workers;
-  for (size_t r = 0; r < reducers; r++) {
-    workers.emplace_back([&, r] {
-      auto client = fs->NewClient();
-      for (size_t p = 0; p < parts_per_reducer; p++) {
-        std::string path = "/output/part-" + std::to_string(r) + "-" +
-                           std::to_string(p);
-        if (!client->Create(path, 0644).ok()) continue;
-        if (client->Write(path, 0, "rowgroup-data").ok()) written++;
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-
-  JobResult result;
-  result.seconds = watch.ElapsedSeconds();
-  result.parts = written.load();
+  // One closed-loop client per reducer, each writing its part-files.
+  std::vector<std::unique_ptr<MetadataClient>> clients;
+  for (size_t r = 0; r < reducers; r++) clients.push_back(fs->NewClient());
+  ThreadExecutor threads;
+  RunResult result = RunClosedLoop(
+      threads, RawClients(clients),
+      [](MetadataClient* client, size_t r, uint64_t p, Rng&) {
+        std::string path =
+            "/output/part-" + std::to_string(r) + "-" + std::to_string(p);
+        Status st = client->Create(path, 0644);
+        return st.ok() ? client->Write(path, 0, "rowgroup-data") : st;
+      },
+      Loop::Count(parts_per_reducer));
 
   // _SUCCESS marker and a consistency audit: the shared directory's
   // delta-applied children counter must equal the real fanout.
@@ -83,11 +71,11 @@ int main() {
     Cfs fs(config.options);
     if (!fs.Start().ok()) return 1;
     std::printf("%s:\n", config.label);
-    JobResult result = RunJob(&fs, kReducers, kParts);
-    double rate = result.parts / result.seconds;
+    RunResult result = RunJob(&fs, kReducers, kParts);
+    uint64_t parts = result.ops - result.errors;
+    double rate = parts / result.seconds;
     std::printf("  %llu part-files in %.2fs -> %.0f creates/s\n",
-                static_cast<unsigned long long>(result.parts), result.seconds,
-                rate);
+                static_cast<unsigned long long>(parts), result.seconds, rate);
     if (baseline_rate == 0) {
       baseline_rate = rate;
     } else {

@@ -111,9 +111,11 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "running %s x%zu clients for %ds (%.0f%% contention)\n",
                args.op.c_str(), args.clients, args.seconds,
                args.contention * 100);
-  WorkloadRunner runner(system.MakeClients(args.clients));
-  RunResult result = runner.Run(MakeOp(args), args.seconds * 1000,
-                                std::min(args.seconds * 250, 1000));
+  auto clients = system.MakeClients(args.clients);
+  ThreadExecutor threads;
+  RunResult result = RunClosedLoop(
+      threads, RawClients(clients), MakeOp(args),
+      Loop::Timed(args.seconds * 1000, std::min(args.seconds * 250, 1000)));
 
   std::printf("system      : %s\n", system.name.c_str());
   std::printf("op          : %s\n", args.op.c_str());

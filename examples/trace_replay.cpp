@@ -34,13 +34,12 @@ int main() {
 
     TraceReplayer replayer(spec, config);
     auto setup = fs.NewClient();
-    std::vector<std::unique_ptr<MetadataClient>> populate_owned;
-    std::vector<MetadataClient*> populate;
-    for (size_t i = 0; i < kClients; i++) {
-      populate_owned.push_back(fs.NewClient());
-      populate.push_back(populate_owned.back().get());
-    }
-    if (Status st = replayer.Prepare(setup.get(), populate); !st.ok()) {
+    std::vector<std::unique_ptr<MetadataClient>> populate;
+    for (size_t i = 0; i < kClients; i++) populate.push_back(fs.NewClient());
+    ThreadExecutor threads;
+    if (Status st =
+            replayer.Prepare(threads, setup.get(), RawClients(populate));
+        !st.ok()) {
       std::fprintf(stderr, "prepare failed for %s: %s\n", spec.name.c_str(),
                    st.ToString().c_str());
       return 1;
@@ -48,7 +47,7 @@ int main() {
 
     std::vector<std::unique_ptr<MetadataClient>> clients;
     for (size_t i = 0; i < kClients; i++) clients.push_back(fs.NewClient());
-    TraceReplayResult result = replayer.Replay(std::move(clients));
+    TraceReplayResult result = replayer.Replay(threads, RawClients(clients));
 
     std::printf("%-6s %12.0f %14.0f %12lld %12llu\n", spec.name.c_str(),
                 result.fs_ops_per_sec(), result.meta_ops_per_sec(),

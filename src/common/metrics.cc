@@ -330,7 +330,7 @@ void OpTrace::Begin(const char* op_name) {
   Tls& t = tls();
   t.data = OpTraceData{};
   t.op_start = simtime::NowNanosOrReal();
-  trace::BeginOp(op_name);
+  if (op_name != nullptr) trace::BeginOp(op_name);
 }
 
 OpTraceData OpTrace::Finish() {

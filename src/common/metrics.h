@@ -184,7 +184,9 @@ class OpTrace {
  public:
   // Zeroes the accumulators and starts the op stopwatch. Also opens a
   // causal-trace op bracket (src/common/trace_event.h) named `op_name`, so
-  // every OpTrace'd op is a candidate for span-tree capture.
+  // every OpTrace'd op is a candidate for span-tree capture — unless
+  // `op_name` is null, for ops that are timed but never traced (namespace
+  // population, trace replay).
   static void Begin(const char* op_name = "op");
   // Stops the stopwatch (total_us) and returns the accumulated trace.
   // Closes the causal-trace bracket with the same total.

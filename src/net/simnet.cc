@@ -147,46 +147,14 @@ Status SimNet::BeginCall(NodeId from, NodeId to, bool inject_latency) {
 size_t SimNet::Multicast(NodeId from, const std::vector<NodeId>& to,
                          const std::function<void(NodeId)>& fn) {
   size_t delivered = 0;
-  bool latency_injected = false;
   for (NodeId dest : to) {
-    if (has_faults_.load(std::memory_order_acquire)) {
-      MutexLock lock(mu_);
-      if (down_nodes_.count(dest) != 0 || down_nodes_.count(from) != 0 ||
-          partitions_.count(std::minmax(from, dest)) != 0) {
-        continue;
-      }
+    // The concurrent fan-out completes when the slowest call does: only the
+    // first delivered call charges the round trip.
+    if (!BeginCall(from, dest, /*inject_latency=*/delivered == 0).ok()) {
+      continue;
     }
-    if constexpr (lock_order::kTracking) {
-      lock_order::OnRpcEdge(nodes_[from].name.c_str(),
-                            nodes_[dest].name.c_str());
-    }
-    simtime::FuzzPoint(simtime::FuzzKind::kRpcEdge);
-    // The concurrent fan-out completes when the slowest call does: charge
-    // one round trip of injected latency for the whole batch.
-    int64_t injected_us = latency_injected ? 0 : InjectLatency(from, dest);
-    latency_injected = true;
-    total_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (injected_us > 0) {
-      total_injected_us_.fetch_add(injected_us, std::memory_order_relaxed);
-    }
-    t_hops++;
-    OpTrace::AddPhase(Phase::kRpc, injected_us);
-    if (trace::Active()) {
-      trace::RpcEvent(nodes_[from].name.c_str(), nodes_[dest].name.c_str(),
-                      nodes_[dest].trace_node, injected_us);
-    }
-    nodes_[dest].calls->fetch_add(1, std::memory_order_relaxed);
-    {
-      MutexLock lock(edge_mu_);
-      CFS_SHARED_WRITE(edges_, edge_mu_);
-      EdgeStat& edge = edges_[EdgeKey(from, dest)];
-      edge.calls++;
-      edge.injected_us += injected_us;
-    }
-    {
-      trace::NodeScope scope(nodes_[dest].trace_node);
-      fn(dest);
-    }
+    trace::NodeScope scope(nodes_[dest].trace_node);
+    fn(dest);
     delivered++;
   }
   return delivered;

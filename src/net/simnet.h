@@ -17,9 +17,12 @@
 //      on the calling thread's OpTrace.
 //
 // The handler then runs synchronously on the caller's thread; services are
-// passive, internally synchronized objects. Server-side CPU queueing is not
-// modelled (see DESIGN.md §5) — lock queueing and raft-log serialization,
-// the effects the paper studies, are modelled by the services themselves.
+// passive, internally synchronized objects. SimNet itself models no server
+// queueing. The services do: lock queues and raft-log serialization, the
+// effects the paper studies, plus LoadGates (src/common/load_gate.h) that
+// bound concurrent processing per TafDB shard and FileStore node, so a hot
+// node queues in wall-clock mode (DESIGN.md §5). In kVirtual mode a gate
+// only charges its processing time (DESIGN.md §11).
 //
 // Each SimNet registers a dump-time probe ("simnet#<n>") with the global
 // MetricsRegistry exposing total/per-edge call counts and injected latency.

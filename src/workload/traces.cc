@@ -1,11 +1,7 @@
 #include "src/workload/traces.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <thread>
-
-#include "src/common/clock.h"
-#include "src/common/thread_annotations.h"
 
 namespace cfs {
 
@@ -130,59 +126,33 @@ std::string TraceReplayer::FilePath(size_t d, size_t f) const {
   return DirPath(d) + "/f" + std::to_string(f);
 }
 
-Status TraceReplayer::Prepare(MetadataClient* setup_client,
-                              std::vector<MetadataClient*> populate_clients) {
+Status TraceReplayer::Prepare(
+    Executor& exec, MetadataClient* setup_client,
+    const std::vector<MetadataClient*>& populate_clients) {
   for (size_t d = 0; d < config_.num_dirs; d++) {
     Status st = setup_client->Mkdir(DirPath(d), 0755);
     if (!st.ok() && !st.IsAlreadyExists()) return st;
   }
   // Populate files (with initial content drawn from the file-size CDF,
   // capped so single-machine replay stays bounded).
-  std::atomic<bool> failed{false};
-  Mutex fail_mu{"workload.fail", 91};
-  Status first_failure;
-  std::vector<std::thread> threads;
-  size_t total = config_.num_dirs * config_.files_per_dir;
-  size_t per = (total + populate_clients.size() - 1) / populate_clients.size();
-  for (size_t t = 0; t < populate_clients.size(); t++) {
-    threads.emplace_back([&, t] {
-      Rng rng(0x7ace5eed + t);
-      size_t begin = t * per;
-      size_t end = std::min(total, begin + per);
-      for (size_t i = begin; i < end && !failed.load(); i++) {
-        size_t d = i / config_.files_per_dir;
-        size_t f = i % config_.files_per_dir;
-        std::string path = FilePath(d, f);
-        Status st = populate_clients[t]->Create(path, 0644);
-        if (!st.ok() && !st.IsAlreadyExists()) {
-          MutexLock lock(fail_mu);
-          first_failure = st;
-          failed.store(true);
-          return;
-        }
+  Status st = RunPartitioned(
+      exec, populate_clients, config_.num_dirs * config_.files_per_dir,
+      [&](MetadataClient* client, size_t i, Rng& rng) {
+        std::string path =
+            FilePath(i / config_.files_per_dir, i % config_.files_per_dir);
+        Status created = client->Create(path, 0644);
+        if (!created.ok() && !created.IsAlreadyExists()) return created;
         uint64_t size = SampleSize(spec_.file_size_cdf, rng);
-        std::string payload(
-            std::min<uint64_t>(size, config_.io_cap_bytes), 'x');
-        Status wst = populate_clients[t]->Write(path, 0, payload);
-        if (!wst.ok()) {
-          MutexLock lock(fail_mu);
-          first_failure = wst;
-          failed.store(true);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  if (failed.load()) {
-    return Status(first_failure.code(),
-                  "trace populate failed: " + first_failure.ToString());
-  }
-  return Status::Ok();
+        return client->Write(
+            path, 0,
+            std::string(std::min<uint64_t>(size, config_.io_cap_bytes), 'x'));
+      });
+  return st.ok() ? st
+                 : Status(st.code(), "trace populate failed: " + st.ToString());
 }
 
 TraceReplayResult TraceReplayer::Replay(
-    std::vector<std::unique_ptr<MetadataClient>> clients) {
+    Executor& exec, const std::vector<MetadataClient*>& clients) {
   std::vector<double> weights;
   std::vector<FsOp> ops;
   for (const auto& [op, pct] : spec_.mix) {
@@ -191,129 +161,104 @@ TraceReplayResult TraceReplayer::Replay(
   }
   WeightedChoice choice(weights);
 
-  std::atomic<bool> warming{config_.warmup_ms > 0};
-  std::atomic<bool> running{true};
-  std::atomic<uint64_t> fs_ops{0}, meta_ops{0}, errors{0};
-  StripedHistogram fs_latency(clients.size());
-  StripedHistogram meta_latency(clients.size());
-
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < clients.size(); t++) {
-    threads.emplace_back([&, t] {
-      MetadataClient* client = clients[t].get();
-      Rng rng(0x0ddba11 + t * 977);
-      uint64_t seq = 0;
-      uint64_t local_fs = 0, local_meta = 0, local_err = 0;
-      while (running.load(std::memory_order_relaxed)) {
-        FsOp op = ops[choice.Next(rng)];
-        size_t d = rng.Uniform(config_.num_dirs);
-        size_t f = rng.Uniform(config_.files_per_dir);
-        std::string path = FilePath(d, f);
-        uint64_t meta_in_op = 1;
-        Status st;
-        Stopwatch sw;
-        switch (op) {
-          case FsOp::kStat: {
-            // stat = lookup + getattr (§5.8).
-            st = client->GetAttr(path).status();
-            meta_in_op = 2;
-            break;
-          }
-          case FsOp::kOpen:
-            st = client->Lookup(path).status();
-            break;
-          case FsOp::kOpenCreat: {
-            std::string fresh = DirPath(d) + "/t" + std::to_string(t) + "_" +
-                                std::to_string(seq);
-            st = client->Create(fresh, 0644);
-            meta_in_op = 2;  // lookup + create
-            break;
-          }
-          case FsOp::kRead: {
-            auto info = client->GetAttr(path);  // freshness check
-            st = info.status();
-            if (st.ok()) {
-              uint64_t len = std::min<uint64_t>(
-                  SampleSize(spec_.io_size_cdf, rng), config_.io_cap_bytes);
-              st = client->Read(path, 0, len).status();
-              if (st.IsNotFound()) st = Status::Ok();  // EOF/hole
-            }
-            meta_in_op = 1;  // getattr
-            break;
-          }
-          case FsOp::kWrite: {
-            uint64_t len = std::min<uint64_t>(
-                SampleSize(spec_.io_size_cdf, rng), config_.io_cap_bytes);
-            st = client->Write(path, 0, std::string(len, 'w'));
-            meta_in_op = 1;  // attribute merge
-            break;
-          }
-          case FsOp::kOpendir:
-            st = client->ReadDir(DirPath(d)).status();
-            break;
-          case FsOp::kUnlink: {
-            std::string victim = DirPath(d) + "/v" + std::to_string(t) + "_" +
-                                 std::to_string(seq);
-            st = client->Create(victim, 0644);
-            if (st.ok()) st = client->Unlink(victim);
-            meta_in_op = 2;  // create + unlink
-            break;
-          }
-          case FsOp::kRename: {
-            std::string a = DirPath(d) + "/rn" + std::to_string(t) + "_" +
-                            std::to_string(seq);
-            st = client->Create(a, 0644);
-            if (st.ok()) st = client->Rename(a, a + "_renamed");
-            if (st.ok()) st = client->Unlink(a + "_renamed");
-            meta_in_op = 3;
-            break;
-          }
-          case FsOp::kMkdir: {
-            st = client->Mkdir(DirPath(d) + "/m" + std::to_string(t) + "_" +
-                                   std::to_string(seq),
-                               0755);
-            break;
-          }
-          case FsOp::kChmod: {
-            SetAttrSpec spec;
-            spec.mode = 0640;
-            st = client->SetAttr(path, spec);
-            break;
-          }
+  // Metadata ops the client's current op triggered (§5.8 decomposes each
+  // file-system op), read back by the record step.
+  std::vector<uint64_t> meta_in_op(clients.size(), 1);
+  std::vector<TraceReplayResult> per_client(clients.size());
+  auto replay_op = [&](MetadataClient* client, size_t t, uint64_t seq,
+                       Rng& rng) {
+    FsOp op = ops[choice.Next(rng)];
+    size_t d = rng.Uniform(config_.num_dirs);
+    size_t f = rng.Uniform(config_.files_per_dir);
+    std::string path = FilePath(d, f);
+    auto fresh = [&](const char* kind) {
+      return DirPath(d) + "/" + kind + std::to_string(t) + "_" +
+             std::to_string(seq);
+    };
+    uint64_t& meta = meta_in_op[t];
+    meta = 1;
+    Status st;
+    switch (op) {
+      case FsOp::kStat:
+        st = client->GetAttr(path).status();
+        meta = 2;  // lookup + getattr
+        break;
+      case FsOp::kOpen:
+        st = client->Lookup(path).status();
+        break;
+      case FsOp::kOpenCreat:
+        st = client->Create(fresh("t"), 0644);
+        meta = 2;  // lookup + create
+        break;
+      case FsOp::kRead: {
+        // The freshness check is the op's one metadata op.
+        st = client->GetAttr(path).status();
+        if (st.ok()) {
+          uint64_t len = std::min<uint64_t>(
+              SampleSize(spec_.io_size_cdf, rng), config_.io_cap_bytes);
+          st = client->Read(path, 0, len).status();
+          if (st.IsNotFound()) st = Status::Ok();  // EOF/hole
         }
-        int64_t us = sw.ElapsedMicros();
-        seq++;
-        if (!warming.load(std::memory_order_relaxed)) {
-          fs_latency.Record(t, us);
-          meta_latency.Record(t, us / static_cast<int64_t>(meta_in_op));
-          local_fs += 1;
-          local_meta += meta_in_op;
-          if (!st.ok()) local_err++;
-        }
+        break;
       }
-      fs_ops.fetch_add(local_fs);
-      meta_ops.fetch_add(local_meta);
-      errors.fetch_add(local_err);
-    });
-  }
-
-  if (config_.warmup_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(config_.warmup_ms));
-    warming.store(false);
-  }
-  Stopwatch window;
-  std::this_thread::sleep_for(std::chrono::milliseconds(config_.duration_ms));
-  double seconds = window.ElapsedSeconds();
-  running.store(false);
-  for (auto& th : threads) th.join();
+      case FsOp::kWrite: {
+        uint64_t len = std::min<uint64_t>(SampleSize(spec_.io_size_cdf, rng),
+                                          config_.io_cap_bytes);
+        st = client->Write(path, 0, std::string(len, 'w'));  // attr merge
+        break;
+      }
+      case FsOp::kOpendir:
+        st = client->ReadDir(DirPath(d)).status();
+        break;
+      case FsOp::kUnlink: {
+        std::string victim = fresh("v");
+        st = client->Create(victim, 0644);
+        if (st.ok()) st = client->Unlink(victim);
+        meta = 2;  // create + unlink
+        break;
+      }
+      case FsOp::kRename: {
+        std::string a = fresh("rn");
+        st = client->Create(a, 0644);
+        if (st.ok()) st = client->Rename(a, a + "_renamed");
+        if (st.ok()) st = client->Unlink(a + "_renamed");
+        meta = 3;
+        break;
+      }
+      case FsOp::kMkdir:
+        st = client->Mkdir(fresh("m"), 0755);
+        break;
+      case FsOp::kChmod: {
+        SetAttrSpec spec;
+        spec.mode = 0640;
+        st = client->SetAttr(path, spec);
+        break;
+      }
+    }
+    return st;
+  };
 
   TraceReplayResult result;
-  result.fs_ops = fs_ops.load();
-  result.meta_ops = meta_ops.load();
-  result.errors = errors.load();
-  result.seconds = seconds;
-  result.fs_latency = fs_latency.Aggregate();
-  result.meta_latency = meta_latency.Aggregate();
+  result.seconds = RunClients(
+      exec, clients, replay_op,
+      Loop::Timed(config_.duration_ms, config_.warmup_ms), /*op_name=*/nullptr,
+      [](size_t t) -> uint64_t { return 0x0ddba11 + t * 977; },
+      [&](size_t t, const Status& st, const OpTraceData& trace) {
+        TraceReplayResult& r = per_client[t];
+        r.fs_latency.Record(trace.total_us);
+        r.meta_latency.Record(trace.total_us /
+                              static_cast<int64_t>(meta_in_op[t]));
+        r.fs_ops++;
+        r.meta_ops += meta_in_op[t];
+        if (!st.ok()) r.errors++;
+      });
+  for (const TraceReplayResult& r : per_client) {
+    result.fs_ops += r.fs_ops;
+    result.meta_ops += r.meta_ops;
+    result.errors += r.errors;
+    result.fs_latency.Merge(r.fs_latency);
+    result.meta_latency.Merge(r.meta_latency);
+  }
   return result;
 }
 

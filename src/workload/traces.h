@@ -19,6 +19,7 @@
 #include "src/common/histogram.h"
 #include "src/common/random.h"
 #include "src/core/metadata_client.h"
+#include "src/workload/workload.h"
 
 namespace cfs {
 
@@ -82,17 +83,18 @@ struct TraceReplayConfig {
 };
 
 // Pre-populates the namespace (directories plus files with sizes drawn from
-// the trace's file-size CDF) using `setup_client`, then replays the op mix
-// from `clients` in a closed loop.
+// the trace's file-size CDF) using `setup_client` and `populate_clients`,
+// then replays the op mix from `clients` in a closed loop. Both run on the
+// shared closed-loop client body (src/workload/workload.h).
 class TraceReplayer {
  public:
   TraceReplayer(TraceSpec spec, TraceReplayConfig config)
       : spec_(std::move(spec)), config_(config) {}
 
-  Status Prepare(MetadataClient* setup_client,
-                 std::vector<MetadataClient*> populate_clients);
-  TraceReplayResult Replay(
-      std::vector<std::unique_ptr<MetadataClient>> clients);
+  Status Prepare(Executor& exec, MetadataClient* setup_client,
+                 const std::vector<MetadataClient*>& populate_clients);
+  TraceReplayResult Replay(Executor& exec,
+                           const std::vector<MetadataClient*>& clients);
 
   const TraceSpec& spec() const { return spec_; }
 

@@ -1,11 +1,10 @@
 #include "src/workload/workload.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "src/common/clock.h"
-#include "src/common/thread_annotations.h"
-#include "src/common/thread_pool.h"
 
 namespace cfs {
 namespace {
@@ -21,7 +20,7 @@ std::string TargetDir(size_t thread, double contention_rate, Rng& rng) {
   return PrivateDir(thread);
 }
 
-// First `seq` of the next Run/RunSimulated call in this process. Created
+// First `seq` of the next timed loop in this process. Created
 // names embed (thread, seq), so a run that restarted at 0 would recreate
 // the names an earlier run on the same system made and time the EEXIST
 // path (Fig 9(b)'s single-client leg after the peak leg). A counter, not
@@ -49,135 +48,125 @@ std::string_view MetaOpName(MetaOp op) {
   return "?";
 }
 
-RunResult WorkloadRunner::Run(const OpFn& op, int64_t duration_ms,
-                              int64_t warmup_ms,
-                              const std::string& trace_label) {
-  std::atomic<bool> warming{warmup_ms > 0};
+double ThreadExecutor::Drive(size_t clients, const Loop& loop,
+                             const std::function<void(size_t, bool)>& step) {
+  const bool counted = loop.ops_per_client > 0;
+  std::atomic<bool> warming{!counted && loop.warmup_ms > 0};
   std::atomic<bool> running{true};
-  std::atomic<uint64_t> total_ops{0};
-  std::atomic<uint64_t> total_errors{0};
-  StripedHistogram latency(std::max<size_t>(clients_.size(), 1));
-  Mutex phases_mu{"workload.phases", 90};
-  PhaseBreakdown phases;
-
-  // Causal-trace op name: the run's label when given ("fig9.cfs.create"),
-  // so retained span trees say which bench op produced them.
-  const char* op_name = trace_label.empty() ? "op" : trace_label.c_str();
-  const uint64_t seq_base = NextRunSeqBase();
-
   std::vector<std::thread> threads;
-  threads.reserve(clients_.size());
-  for (size_t t = 0; t < clients_.size(); t++) {
+  threads.reserve(clients);
+  Stopwatch window;
+  for (size_t t = 0; t < clients; t++) {
     threads.emplace_back([&, t] {
-      Rng rng(0xbadc0ffee ^ (t * 0x9e3779b9));
-      uint64_t seq = seq_base;
-      uint64_t ops = 0;
-      uint64_t errors = 0;
-      PhaseBreakdown local;
-      while (running.load(std::memory_order_relaxed)) {
-        // One warming check per op, at begin: ops that start during
-        // warm-up are excluded from the accumulators AND carry the
-        // "warmup" trace label, so the causal-trace layer and the phase
-        // accumulators see the same op population (fig13's span-vs-
-        // accumulator cross-check filters by label).
-        bool warm = warming.load(std::memory_order_relaxed);
-        OpTrace::Begin(warm ? "warmup" : op_name);
-        Status st = op(clients_[t].get(), t, seq++, rng);
-        OpTraceData trace = OpTrace::Finish();
-        if (!warm) {
-          latency.Record(t, trace.total_us);
-          local.Add(trace);
-          ops++;
-          if (!st.ok()) errors++;
-        }
+      for (uint64_t n = 0; counted ? n < loop.ops_per_client
+                                   : running.load(std::memory_order_relaxed);
+           n++) {
+        step(t, warming.load(std::memory_order_relaxed));
       }
-      total_ops.fetch_add(ops);
-      total_errors.fetch_add(errors);
-      MutexLock lock(phases_mu);
-      phases.Merge(local);
     });
   }
-
-  if (warmup_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(warmup_ms));
-    warming.store(false);
+  if (!counted) {
+    if (loop.warmup_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(loop.warmup_ms));
+      warming.store(false);
+    }
+    window.Reset();
+    std::this_thread::sleep_for(std::chrono::milliseconds(loop.duration_ms));
+    running.store(false);
   }
-  Stopwatch window;
-  std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
   double seconds = window.ElapsedSeconds();
-  running.store(false);
   for (auto& th : threads) th.join();
-
-  RunResult result;
-  result.ops = total_ops.load();
-  result.errors = total_errors.load();
-  result.seconds = seconds;
-  result.latency = latency.Aggregate();
-  result.phases = phases;
-  if (!trace_label.empty()) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    result.phases.PublishTo(registry, trace_label);
-    registry.GetHistogram("trace." + trace_label + ".latency")
-        ->Merge(result.latency);
-  }
-  return result;
+  return counted ? window.ElapsedSeconds() : seconds;
 }
 
-RunResult WorkloadRunner::RunSimulated(simtime::Scheduler& sched,
-                                       const OpFn& op, int64_t duration_ms,
-                                       int64_t warmup_ms,
-                                       const std::string& trace_label) {
-  const char* op_name = trace_label.empty() ? "op" : trace_label.c_str();
-  const int64_t start_us = sched.now_us();
-  const int64_t warmup_end_us = start_us + warmup_ms * 1000;
-  const int64_t deadline_us = warmup_end_us + duration_ms * 1000;
-
-  uint64_t ops = 0;
-  uint64_t errors = 0;
-  Histogram latency;
-  PhaseBreakdown phases;
-  std::vector<Rng> rngs;
-  std::vector<uint64_t> seqs(clients_.size(), NextRunSeqBase());
-  rngs.reserve(clients_.size());
-  for (size_t t = 0; t < clients_.size(); t++) {
-    // Same per-client stream family as Run(), keyed on the scheduler seed
-    // so different seeds explore different op sequences.
-    rngs.emplace_back(sched.seed() ^ 0xbadc0ffee ^ (t * 0x9e3779b9));
-  }
-
-  // One client = one self-rescheduling step function. The op runs to
-  // completion on the scheduler thread; the latency it accrued becomes the
-  // gap to its next op. As in Run(), an op that *starts* before the
-  // deadline is counted even if its accrued latency ends past it.
-  std::function<void(size_t)> step = [&](size_t t) {
-    bool warm = sched.now_us() < warmup_end_us;
-    OpTrace::Begin(warm ? "warmup" : op_name);
-    Status st = op(clients_[t].get(), t, seqs[t]++, rngs[t]);
-    OpTraceData trace = OpTrace::Finish();
-    if (!warm) {
-      latency.Record(trace.total_us);
-      phases.Add(trace);
-      ops++;
-      if (!st.ok()) errors++;
-    }
-    int64_t next_us = sched.task_now_us();
-    if (next_us < deadline_us) {
-      sched.At(next_us, [&step, t] { step(t); });
+double SchedulerExecutor::Drive(size_t clients, const Loop& loop,
+                                const std::function<void(size_t, bool)>& step) {
+  const bool counted = loop.ops_per_client > 0;
+  const int64_t start_us = sched_.now_us();
+  const int64_t warmup_end_us = start_us + loop.warmup_ms * 1000;
+  const int64_t deadline_us = warmup_end_us + loop.duration_ms * 1000;
+  std::vector<uint64_t> left(clients, loop.ops_per_client);
+  int64_t end_us = start_us;
+  std::function<void(size_t)> next = [&](size_t t) {
+    step(t, sched_.now_us() < warmup_end_us);
+    int64_t next_us = sched_.task_now_us();
+    end_us = std::max(end_us, next_us);
+    if (counted ? --left[t] > 0 : next_us < deadline_us) {
+      sched_.At(next_us, [&next, t] { next(t); });
     }
   };
-  for (size_t t = 0; t < clients_.size(); t++) {
-    sched.At(start_us, [&step, t] { step(t); });
+  for (size_t t = 0; t < clients; t++) {
+    sched_.At(start_us, [&next, t] { next(t); });
   }
-  sched.RunUntil(deadline_us);
-  // Tasks scheduled past the deadline reference this frame; drop them.
-  (void)sched.CancelPending();
+  if (!counted) {
+    sched_.RunUntil(deadline_us);
+    // Tasks scheduled past the deadline reference this frame; drop them.
+    (void)sched_.CancelPending();
+    return static_cast<double>(loop.duration_ms) / 1000.0;
+  }
+  // Drain, leaving the clock where the last op completed.
+  while (sched_.pending() > 0 || sched_.now_us() < end_us) {
+    sched_.RunUntil(end_us);
+  }
+  return static_cast<double>(end_us - start_us) / 1e6;
+}
 
+double RunClients(Executor& exec, const std::vector<MetadataClient*>& clients,
+                  const OpFn& op, const Loop& loop, const char* op_name,
+                  SeedFn seed, const RecordFn& record) {
+  const char* warmup_name = op_name != nullptr ? "warmup" : nullptr;
+  std::vector<uint64_t> seqs(clients.size(),
+                             loop.ops_per_client > 0 ? 0 : NextRunSeqBase());
+  std::vector<Rng> rngs;
+  rngs.reserve(clients.size());
+  for (size_t t = 0; t < clients.size(); t++) {
+    rngs.emplace_back(exec.seed() ^ seed(t));
+  }
+  return exec.Drive(clients.size(), loop, [&](size_t t, bool warm) {
+    // One warm-up check per op, at begin: ops that start during warm-up are
+    // not recorded AND carry the "warmup" trace label, so the causal-trace
+    // layer and the recorded results see the same op population (fig13's
+    // span-vs-accumulator cross-check filters by label).
+    OpTrace::Begin(warm ? warmup_name : op_name);
+    Status st = op(clients[t], t, seqs[t]++, rngs[t]);
+    OpTraceData trace = OpTrace::Finish();
+    if (!warm) record(t, st, trace);
+  });
+}
+
+std::vector<MetadataClient*> RawClients(
+    const std::vector<std::unique_ptr<MetadataClient>>& clients) {
+  std::vector<MetadataClient*> raw;
+  raw.reserve(clients.size());
+  for (const auto& c : clients) raw.push_back(c.get());
+  return raw;
+}
+
+RunResult RunClosedLoop(Executor& exec,
+                        const std::vector<MetadataClient*>& clients,
+                        const OpFn& op, const Loop& loop,
+                        const std::string& trace_label) {
+  std::vector<RunResult> per_client(clients.size());
   RunResult result;
-  result.ops = ops;
-  result.errors = errors;
-  result.seconds = static_cast<double>(duration_ms) / 1000.0;
-  result.latency = latency;
-  result.phases = phases;
+  // Causal-trace op name: the run's label when given ("fig9.cfs.create"),
+  // so retained span trees say which bench op produced them.
+  result.seconds = RunClients(
+      exec, clients, op, loop,
+      trace_label.empty() ? "op" : trace_label.c_str(),
+      [](size_t t) -> uint64_t { return 0xbadc0ffee ^ (t * 0x9e3779b9); },
+      [&](size_t t, const Status& st, const OpTraceData& trace) {
+        RunResult& r = per_client[t];
+        r.latency.Record(trace.total_us);
+        r.phases.Add(trace);
+        r.ops++;
+        if (!st.ok()) r.errors++;
+      });
+  for (const RunResult& r : per_client) {
+    result.ops += r.ops;
+    result.errors += r.errors;
+    result.latency.Merge(r.latency);
+    result.phases.Merge(r.phases);
+  }
   if (!trace_label.empty()) {
     MetricsRegistry& registry = MetricsRegistry::Global();
     result.phases.PublishTo(registry, trace_label);
@@ -187,71 +176,49 @@ RunResult WorkloadRunner::RunSimulated(simtime::Scheduler& sched,
   return result;
 }
 
-RunResult WorkloadRunner::RunCount(const OpFn& op, uint64_t ops_per_thread) {
-  std::atomic<uint64_t> total_errors{0};
-  StripedHistogram latency(std::max<size_t>(clients_.size(), 1));
-  Mutex phases_mu{"workload.phases", 90};
-  PhaseBreakdown phases;
-  Stopwatch window;
-  std::vector<std::thread> threads;
-  threads.reserve(clients_.size());
-  for (size_t t = 0; t < clients_.size(); t++) {
-    threads.emplace_back([&, t] {
-      Rng rng(0xfeedface ^ (t * 0x9e3779b9));
-      uint64_t errors = 0;
-      PhaseBreakdown local;
-      for (uint64_t seq = 0; seq < ops_per_thread; seq++) {
-        OpTrace::Begin("setup");
-        Status st = op(clients_[t].get(), t, seq, rng);
-        OpTraceData trace = OpTrace::Finish();
-        latency.Record(t, trace.total_us);
-        local.Add(trace);
-        if (!st.ok()) errors++;
-      }
-      total_errors.fetch_add(errors);
-      MutexLock lock(phases_mu);
-      phases.Merge(local);
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  RunResult result;
-  result.ops = ops_per_thread * clients_.size();
-  result.errors = total_errors.load();
-  result.seconds = window.ElapsedSeconds();
-  result.latency = latency.Aggregate();
-  result.phases = phases;
-  return result;
-}
-
-Status SetupPrivateDirs(MetadataClient* client, size_t clients) {
-  for (size_t t = 0; t < clients; t++) {
-    Status st = client->Mkdir(PrivateDir(t), 0755);
-    if (!st.ok() && !st.IsAlreadyExists()) return st;
-  }
-  Status st = client->Mkdir("/shared", 0755);
-  if (!st.ok() && !st.IsAlreadyExists()) return st;
-  return Status::Ok();
-}
-
-Status PopulateDirectory(std::vector<MetadataClient*> clients,
-                         const std::string& dir, size_t count) {
+Status RunPartitioned(
+    Executor& exec, const std::vector<MetadataClient*>& clients, size_t items,
+    const std::function<Status(MetadataClient*, size_t item, Rng&)>& fn) {
   if (clients.empty()) return Status::InvalidArgument("no clients");
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  size_t per = (count + clients.size() - 1) / clients.size();
-  for (size_t t = 0; t < clients.size(); t++) {
-    threads.emplace_back([&, t] {
-      size_t begin = t * per;
-      size_t end = std::min(count, begin + per);
-      for (size_t i = begin; i < end && !failed.load(); i++) {
-        Status st = clients[t]->Create(dir + "/f" + std::to_string(i), 0644);
-        if (!st.ok() && !st.IsAlreadyExists()) failed.store(true);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  return failed.load() ? Status::Internal("populate failed") : Status::Ok();
+  const size_t share = (items + clients.size() - 1) / clients.size();
+  if (share == 0) return Status::Ok();
+  std::atomic<uint64_t> failed{0};
+  RunClients(
+      exec, clients,
+      [&](MetadataClient* client, size_t t, uint64_t seq, Rng& rng) {
+        size_t item = t * share + seq;
+        return item < items ? fn(client, item, rng) : Status::Ok();
+      },
+      Loop::Count(share), /*op_name=*/nullptr,
+      [](size_t t) -> uint64_t { return 0x7ace5eed + t; },
+      [&](size_t, const Status& st, const OpTraceData&) {
+        if (!st.ok()) failed.fetch_add(1);
+      });
+  if (failed.load() == 0) return Status::Ok();
+  return Status::Internal(std::to_string(failed.load()) + " of " +
+                          std::to_string(items) + " ops failed");
+}
+
+Status SetupPrivateDirs(Executor& exec, MetadataClient* client,
+                        size_t clients) {
+  return RunPartitioned(exec, {client}, clients + 1,
+                        [clients](MetadataClient* c, size_t i, Rng&) {
+                          Status st = c->Mkdir(
+                              i < clients ? PrivateDir(i) : "/shared", 0755);
+                          return st.IsAlreadyExists() ? Status::Ok() : st;
+                        });
+}
+
+Status PopulateDirectories(Executor& exec,
+                           const std::vector<MetadataClient*>& clients,
+                           const std::vector<std::string>& dirs, size_t count) {
+  return RunPartitioned(
+      exec, clients, dirs.size() * count,
+      [&](MetadataClient* client, size_t i, Rng&) {
+        Status st = client->Create(
+            dirs[i / count] + "/f" + std::to_string(i % count), 0644);
+        return st.IsAlreadyExists() ? Status::Ok() : st;
+      });
 }
 
 OpFn MakeCreateOp(double contention_rate) {

@@ -187,6 +187,50 @@ TEST(SimNetVirtual, JitterComesFromSchedulerSeed) {
   EXPECT_NE(total_for(42), total_for(43));
 }
 
+TEST(SimNetVirtual, MulticastChargesOneRoundAndSkipsDownNodes) {
+  SimNet net(VirtualNet(1000, 10));
+  NodeId from = net.AddNode("sender", 0);
+  std::vector<NodeId> to = {net.AddNode("r0", 1), net.AddNode("r1", 2),
+                            net.AddNode("r2", 3)};
+  net.SetNodeDown(to[1], true);
+  simtime::Scheduler sched(11);
+  size_t delivered = 0;
+  int64_t elapsed = -1;
+  uint64_t hops = 0;
+  std::vector<NodeId> reached;
+  sched.At(0, [&] {
+    SimNet::ResetThreadHops();
+    delivered =
+        net.Multicast(from, to, [&](NodeId n) { reached.push_back(n); });
+    elapsed = sched.task_now_us();
+    hops = SimNet::ThreadHops();
+  });
+  sched.RunUntil(1);
+
+  // One concurrent round costs exactly what one call draws from the same
+  // seed: a single jittered RTT, charged once.
+  SimNet single(VirtualNet(1000, 10));
+  NodeId a = single.AddNode("a", 0);
+  NodeId b = single.AddNode("b", 1);
+  simtime::Scheduler same_seed(11);
+  int64_t one_rtt = -1;
+  same_seed.At(0, [&] {
+    EXPECT_TRUE(single.BeginCall(a, b).ok());
+    one_rtt = same_seed.task_now_us();
+  });
+  same_seed.RunUntil(1);
+
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(reached, (std::vector<NodeId>{to[0], to[2]}));
+  EXPECT_GT(one_rtt, 0);
+  EXPECT_EQ(elapsed, one_rtt);
+  EXPECT_EQ(net.TotalInjectedLatencyUs(), one_rtt);
+  EXPECT_EQ(net.CallsTo(to[0]), 1u);
+  EXPECT_EQ(net.CallsTo(to[1]), 0u);
+  EXPECT_EQ(net.CallsTo(to[2]), 1u);
+  EXPECT_EQ(hops, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // End to end: a small full-CFS cluster in sim mode.
 
@@ -217,16 +261,16 @@ RunResult RunSimOnce(uint64_t seed) {
   EXPECT_TRUE(fs.Start().ok());
   {
     auto setup = fs.NewClient();
-    EXPECT_TRUE(SetupPrivateDirs(setup.get(), kSimClients).ok());
+    ThreadExecutor threads;  // off the scheduler: setup charges nothing
+    EXPECT_TRUE(SetupPrivateDirs(threads, setup.get(), kSimClients).ok());
   }
   RunResult result;
   {
     std::vector<std::unique_ptr<MetadataClient>> clients;
     for (size_t i = 0; i < kSimClients; i++) clients.push_back(fs.NewClient());
-    WorkloadRunner runner(std::move(clients));
-    simtime::Scheduler sched(seed);
-    result = runner.RunSimulated(sched, MakeCreateOp(0.0), kSimDurationMs,
-                                 kSimWarmupMs);
+    SchedulerExecutor exec(seed);
+    result = RunClosedLoop(exec, RawClients(clients), MakeCreateOp(0.0),
+                           Loop::Timed(kSimDurationMs, kSimWarmupMs));
   }
   fs.Stop();
   return result;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/simtime.h"
+#include "src/common/trace_event.h"
 #include "src/core/cfs.h"
 #include "src/core/gc.h"
 #include "src/workload/traces.h"
@@ -34,23 +36,30 @@ class WorkloadTest : public ::testing::Test {
   }
   void TearDown() override {
     setup_.reset();
+    owned_.clear();
     fs_->Stop();
   }
 
-  std::vector<std::unique_ptr<MetadataClient>> Clients(size_t n) {
-    std::vector<std::unique_ptr<MetadataClient>> out;
-    for (size_t i = 0; i < n; i++) out.push_back(fs_->NewClient());
+  // `n` fresh clients, owned by the fixture.
+  std::vector<MetadataClient*> Clients(size_t n) {
+    std::vector<MetadataClient*> out;
+    for (size_t i = 0; i < n; i++) {
+      owned_.push_back(fs_->NewClient());
+      out.push_back(owned_.back().get());
+    }
     return out;
   }
 
   std::unique_ptr<Cfs> fs_;
   std::unique_ptr<MetadataClient> setup_;
+  std::vector<std::unique_ptr<MetadataClient>> owned_;
+  ThreadExecutor threads_;
 };
 
 TEST_F(WorkloadTest, CreateOpRunsErrorFree) {
-  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 4).ok());
-  WorkloadRunner runner(Clients(4));
-  RunResult result = runner.Run(MakeCreateOp(0.0), 300, 50);
+  ASSERT_TRUE(SetupPrivateDirs(threads_, setup_.get(), 4).ok());
+  RunResult result = RunClosedLoop(threads_, Clients(4), MakeCreateOp(0.0),
+                                   Loop::Timed(300, 50));
   EXPECT_GT(result.ops, 0u);
   EXPECT_EQ(result.errors, 0u);
   EXPECT_GT(result.ops_per_sec(), 0.0);
@@ -58,15 +67,17 @@ TEST_F(WorkloadTest, CreateOpRunsErrorFree) {
 }
 
 TEST_F(WorkloadTest, BackToBackCreateRunsAreErrorFree) {
-  // Fig 9's shape: a peak leg, then a single-client leg on a fresh runner
-  // over the same namespace, then the same runner again. Each run must
+  // Fig 9's shape: a peak leg, then a single-client leg with fresh clients
+  // over the same namespace, then the same client again. Each run must
   // create new names rather than time EEXIST on the earlier runs' names.
-  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 2).ok());
-  WorkloadRunner peak(Clients(2));
-  RunResult first = peak.Run(MakeCreateOp(0.0), 150, 0);
-  WorkloadRunner light(Clients(1));
-  RunResult second = light.Run(MakeCreateOp(0.0), 150, 0);
-  RunResult third = light.Run(MakeCreateOp(0.0), 150, 0);
+  ASSERT_TRUE(SetupPrivateDirs(threads_, setup_.get(), 2).ok());
+  RunResult first = RunClosedLoop(threads_, Clients(2), MakeCreateOp(0.0),
+                                  Loop::Timed(150));
+  auto light = Clients(1);
+  RunResult second =
+      RunClosedLoop(threads_, light, MakeCreateOp(0.0), Loop::Timed(150));
+  RunResult third =
+      RunClosedLoop(threads_, light, MakeCreateOp(0.0), Loop::Timed(150));
   for (const RunResult* r : {&first, &second, &third}) {
     EXPECT_GT(r->ops, 0u);
     EXPECT_EQ(r->errors, 0u);
@@ -74,9 +85,9 @@ TEST_F(WorkloadTest, BackToBackCreateRunsAreErrorFree) {
 }
 
 TEST_F(WorkloadTest, ContentionTargetsSharedDirectory) {
-  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 2).ok());
-  WorkloadRunner runner(Clients(2));
-  RunResult result = runner.Run(MakeCreateOp(1.0), 200, 0);
+  ASSERT_TRUE(SetupPrivateDirs(threads_, setup_.get(), 2).ok());
+  RunResult result = RunClosedLoop(threads_, Clients(2), MakeCreateOp(1.0),
+                                   Loop::Timed(200));
   EXPECT_EQ(result.errors, 0u);
   auto shared = setup_->GetAttr("/shared");
   ASSERT_TRUE(shared.ok());
@@ -84,11 +95,15 @@ TEST_F(WorkloadTest, ContentionTargetsSharedDirectory) {
 }
 
 TEST_F(WorkloadTest, PairedOpsLeaveNoResidue) {
-  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 2).ok());
-  WorkloadRunner runner(Clients(2));
-  RunResult unlinks = runner.Run(MakeUnlinkAfterCreateOp(0.0), 200, 0);
+  ASSERT_TRUE(SetupPrivateDirs(threads_, setup_.get(), 2).ok());
+  auto clients = Clients(2);
+  RunResult unlinks = RunClosedLoop(threads_, clients,
+                                    MakeUnlinkAfterCreateOp(0.0),
+                                    Loop::Timed(200));
   EXPECT_EQ(unlinks.errors, 0u);
-  RunResult rmdirs = runner.Run(MakeRmdirAfterMkdirOp(0.0), 200, 0);
+  RunResult rmdirs = RunClosedLoop(threads_, clients,
+                                   MakeRmdirAfterMkdirOp(0.0),
+                                   Loop::Timed(200));
   EXPECT_EQ(rmdirs.errors, 0u);
   for (int t = 0; t < 2; t++) {
     auto dir = setup_->GetAttr("/priv" + std::to_string(t));
@@ -98,20 +113,18 @@ TEST_F(WorkloadTest, PairedOpsLeaveNoResidue) {
 }
 
 TEST_F(WorkloadTest, ReadSideOpsUsePopulation) {
-  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 2).ok());
+  ASSERT_TRUE(SetupPrivateDirs(threads_, setup_.get(), 2).ok());
   auto clients = Clients(2);
-  std::vector<MetadataClient*> raw;
-  for (auto& c : clients) raw.push_back(c.get());
-  for (int t = 0; t < 2; t++) {
-    ASSERT_TRUE(
-        PopulateDirectory(raw, "/priv" + std::to_string(t), 16).ok());
-  }
-  WorkloadRunner runner(std::move(clients));
-  RunResult result = runner.Run(MakeGetAttrOp(0.0, 16, 0), 200, 0);
+  ASSERT_TRUE(
+      PopulateDirectories(threads_, clients, {"/priv0", "/priv1"}, 16).ok());
+  RunResult result = RunClosedLoop(threads_, clients,
+                                   MakeGetAttrOp(0.0, 16, 0), Loop::Timed(200));
   EXPECT_EQ(result.errors, 0u);
-  RunResult lookups = runner.Run(MakeLookupOp(0.0, 16, 0), 200, 0);
+  RunResult lookups = RunClosedLoop(threads_, clients, MakeLookupOp(0.0, 16, 0),
+                                    Loop::Timed(200));
   EXPECT_EQ(lookups.errors, 0u);
-  RunResult setattrs = runner.Run(MakeSetAttrOp(0.0, 16, 0), 200, 0);
+  RunResult setattrs = RunClosedLoop(
+      threads_, clients, MakeSetAttrOp(0.0, 16, 0), Loop::Timed(200));
   EXPECT_EQ(setattrs.errors, 0u);
 }
 
@@ -129,18 +142,71 @@ TEST_F(WorkloadTest, RenameOpTogglesWithoutErrors) {
                       .ok());
     }
   }
-  WorkloadRunner runner(Clients(kThreads));
-  RunResult result = runner.Run(MakeRenameOp(0.9), 300, 0);
+  RunResult result = RunClosedLoop(threads_, Clients(kThreads),
+                                   MakeRenameOp(0.9), Loop::Timed(300));
   EXPECT_GT(result.ops, 0u);
   EXPECT_EQ(result.errors, 0u);
 }
 
 TEST_F(WorkloadTest, RunCountExecutesExactly) {
-  ASSERT_TRUE(SetupPrivateDirs(setup_.get(), 3).ok());
-  WorkloadRunner runner(Clients(3));
-  RunResult result = runner.RunCount(MakeCreateOp(0.0), 10);
+  ASSERT_TRUE(SetupPrivateDirs(threads_, setup_.get(), 3).ok());
+  RunResult result =
+      RunClosedLoop(threads_, Clients(3), MakeCreateOp(0.0), Loop::Count(10));
   EXPECT_EQ(result.ops, 30u);
   EXPECT_EQ(result.errors, 0u);
+}
+
+// Both executors run the same client body: ops that start during warm-up
+// are traced as "warmup" and not recorded, every other op is traced under
+// the run label and recorded, and a count loop runs exactly its count. The
+// op touches no client; it charges 300 us of modelled delay (a real sleep
+// on a thread, virtual time on a scheduler).
+TEST(ClosedLoopTest, WarmupOpsAreExcludedAndLabelledOnBothExecutors) {
+  ThreadExecutor threads;
+  SchedulerExecutor scheduler(9);
+  const OpFn op = [](MetadataClient*, size_t, uint64_t, Rng&) {
+    simtime::AdvanceOrSleepUs(300);
+    return Status::Ok();
+  };
+  trace::TraceCollector& collector = trace::TraceCollector::Global();
+  for (Executor* exec :
+       std::initializer_list<Executor*>{&threads, &scheduler}) {
+    trace::TraceOptions options;
+    options.enabled = true;
+    options.sample_every = 1;
+    options.slow_op_threshold_us = 0;
+    options.max_retained_ops = 1 << 20;
+    collector.Reset();
+    collector.Configure(options);
+
+    const std::vector<MetadataClient*> clients(3, nullptr);
+    RunResult result =
+        RunClosedLoop(*exec, clients, op, Loop::Timed(30, 10), "loop_test");
+
+    trace::TraceOptions off;
+    off.enabled = false;
+    collector.Configure(off);
+    uint64_t labelled = 0, warmup = 0, other = 0;
+    for (const trace::OpRecord& rec : collector.SnapshotRetained()) {
+      if (rec.name == "loop_test") {
+        labelled++;
+      } else if (rec.name == "warmup") {
+        warmup++;
+      } else {
+        other++;
+      }
+    }
+    collector.Reset();
+    EXPECT_GT(result.ops, 0u);
+    EXPECT_EQ(labelled, result.ops);
+    EXPECT_EQ(static_cast<uint64_t>(result.latency.count()), result.ops);
+    EXPECT_GT(warmup, 0u);
+    EXPECT_EQ(other, 0u);
+
+    RunResult counted = RunClosedLoop(*exec, clients, op, Loop::Count(7));
+    EXPECT_EQ(counted.ops, 21u);
+    EXPECT_EQ(counted.errors, 0u);
+  }
 }
 
 TEST(TraceSpecTest, MixesSumToRoughly100) {
@@ -196,12 +262,9 @@ TEST_F(WorkloadTest, TraceReplayEndToEnd) {
   config.warmup_ms = 0;
   TraceReplayer replayer(TraceTr1(), config);
 
-  auto populate = Clients(2);
-  std::vector<MetadataClient*> raw;
-  for (auto& c : populate) raw.push_back(c.get());
-  ASSERT_TRUE(replayer.Prepare(setup_.get(), raw).ok());
+  ASSERT_TRUE(replayer.Prepare(threads_, setup_.get(), Clients(2)).ok());
 
-  TraceReplayResult result = replayer.Replay(Clients(2));
+  TraceReplayResult result = replayer.Replay(threads_, Clients(2));
   EXPECT_GT(result.fs_ops, 0u);
   EXPECT_GE(result.meta_ops, result.fs_ops);  // stat etc. decompose
   EXPECT_EQ(result.errors, 0u);
