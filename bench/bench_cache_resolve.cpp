@@ -81,7 +81,7 @@ std::string DeepPath(size_t t, uint64_t j, uint64_t i) {
 }
 
 // Runs `clients` closed-loop clients of deep-path getattrs on threads for
-// DurationMs; returns successful kops.
+// DurationMs; returns kops (exits on any failed op).
 double RunLookupLoad(const System& system, size_t clients) {
   auto owned = system.MakeClients(clients);
   ThreadExecutor threads;
@@ -94,8 +94,8 @@ double RunLookupLoad(const System& system, size_t clients) {
             .status();
       },
       Loop::Timed(DurationMs()));
-  return static_cast<double>(result.ops - result.errors) / 1000.0 /
-         result.seconds;
+  ExitOnFailedOps(system.name, "lookup", result.errors, result.ops);
+  return static_cast<double>(result.ops) / 1000.0 / result.seconds;
 }
 
 void PrintRow(const std::string& label, double kops,

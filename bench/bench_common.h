@@ -284,6 +284,19 @@ inline void PreparePopulation(const System& system, size_t clients,
   (void)PopulateDirectories(*exec, workers, {"/shared"}, shared_files);
 }
 
+// A benchmark number measures ops that succeeded: a run with any failed op
+// prints the system, label, op and error counts and exits nonzero. Every
+// bench that measures ops calls this on each run.
+inline void ExitOnFailedOps(const std::string& system, const std::string& label,
+                            uint64_t errors, uint64_t ops) {
+  if (errors == 0) return;
+  std::fprintf(stderr, "%s run '%s': %llu of %llu ops failed\n",
+               system.c_str(), label.c_str(),
+               static_cast<unsigned long long>(errors),
+               static_cast<unsigned long long>(ops));
+  std::exit(1);
+}
+
 // Closed loop of `op` over `clients` fresh clients of `system` — the one
 // call every fig bench measures through, so CFS_SIM transparently switches
 // the whole suite. Wall-clock mode: one OS thread per client for
@@ -292,9 +305,7 @@ inline void PreparePopulation(const System& system, size_t clients,
 // time (the caller's durations are wall-clock budgets and do not apply);
 // the client count still comes from the caller, so sweeps keep their
 // shape, and each point gets its own scheduler, so points are
-// independently replayable. A benchmark number measures ops that
-// succeeded: a run with any failed op prints the system, label, op and
-// error counts and exits nonzero.
+// independently replayable. Exits on any failed op (ExitOnFailedOps).
 inline RunResult RunWorkload(const System& system, size_t clients,
                              const OpFn& op, int64_t duration_ms,
                              int64_t warmup_ms,
@@ -307,13 +318,7 @@ inline RunResult RunWorkload(const System& system, size_t clients,
       sim.enabled ? Loop::Timed(sim.duration_ms, sim.warmup_ms)
                   : Loop::Timed(duration_ms, warmup_ms),
       trace_label);
-  if (result.errors > 0) {
-    std::fprintf(stderr, "%s run '%s': %llu of %llu ops failed\n",
-                 system.name.c_str(), trace_label.c_str(),
-                 static_cast<unsigned long long>(result.errors),
-                 static_cast<unsigned long long>(result.ops));
-    std::exit(1);
-  }
+  ExitOnFailedOps(system.name, trace_label, result.errors, result.ops);
   return result;
 }
 

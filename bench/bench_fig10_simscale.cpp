@@ -88,6 +88,7 @@ std::vector<Leg> RunLegs(const System& system, size_t clients,
     });
     std::fprintf(stderr, "[simscale] %s %s leg: %.2fs (population %.2fs)\n",
                  sim ? "sim" : "real", name.c_str(), secs, pop_secs);
+    ExitOnFailedOps(system.name, name, result.errors, result.ops);
     legs.push_back(Leg{name, std::move(result)});
   }
   return legs;

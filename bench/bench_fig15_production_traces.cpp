@@ -54,6 +54,7 @@ int main() {
       auto replay_clients = system.MakeClients(clients);
       TraceReplayResult result =
           replayer.Replay(threads, RawClients(replay_clients));
+      ExitOnFailedOps(system.name, spec.name, result.errors, result.fs_ops);
       row.push_back(Cell{result.fs_ops_per_sec() / 1000.0,
                          result.meta_ops_per_sec() / 1000.0,
                          result.fs_latency.P999(),

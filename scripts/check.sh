@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Full check, four legs:
-#   1. regular build + complete test suite + docs lint + static-analysis
-#      lint (scripts/lint.sh: lock-discipline greps and the GUARDED_BY
-#      coverage lint always; clang -Wthread-safety and clang-tidy when
-#      clang is installed) + critical-section scope lint
-#      (scripts/cs_scope_lint.sh: no RPC reachable under a live mutex
-#      guard);
+#   1. regular build + complete test suite + the lint gate (scripts/lint.sh:
+#      the lock-discipline, GUARDED_BY coverage, critical-section scope and
+#      docs rules always; the clang -Wthread-safety build, clang-tidy and
+#      clang-query passes only where clang is on PATH);
 #   2. an AddressSanitizer+UBSan build running the complete test suite
 #      (memory errors and UB anywhere, not just in concurrency hot spots);
 #   3. a ThreadSanitizer build running the concurrency-heavy tests (metrics
@@ -30,14 +28,8 @@ if [[ "${1:-}" == "" ]]; then
   cmake --build build -j
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-  echo "== docs lint =="
-  scripts/docs_lint.sh
-
-  echo "== static-analysis lint =="
+  echo "== lint =="
   scripts/lint.sh
-
-  echo "== critical-section scope lint =="
-  scripts/cs_scope_lint.sh
 fi
 
 if [[ "${1:-}" != "--tsan-only" ]]; then

@@ -1,10 +1,11 @@
 // Dynamic race & atomicity auditor (DESIGN.md §12) — the runtime half of
 // the GUARDED_BY coverage story. The static thread-safety analysis
-// (thread_annotations.h + scripts/guarded_by_lint.sh) proves every *declared*
-// guard relationship at compile time under clang; this module checks, while
-// the code actually runs, that every annotated shared access really happens
-// under the right lock — and that no schedule the virtual-time fuzzer
-// (simtime::Scheduler::SetFuzz) can produce breaks that property.
+// (thread_annotations.h + the guarded-by rule of scripts/lint.sh) proves
+// every *declared* guard relationship at compile time under clang; this
+// module checks, while the code actually runs, that every annotated shared
+// access really happens under the right lock — and that no schedule the
+// virtual-time fuzzer (simtime::Scheduler::SetFuzz) can produce breaks that
+// property.
 //
 // Lineage: Eraser's lockset algorithm refined with FastTrack-style
 // happens-before exoneration, at the granularity this codebase already made

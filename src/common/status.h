@@ -42,7 +42,7 @@ enum class ErrorCode {
 std::string_view ErrorCodeName(ErrorCode code);
 
 // [[nodiscard]]: a dropped Status is a swallowed error. Enforced by
-// -Werror=unused-result (CMakeLists.txt) and a lint.sh grep; deliberate
+// -Werror=unused-result (CMakeLists.txt) and scripts/lint.sh; deliberate
 // drops must say so with a (void) cast.
 class [[nodiscard]] Status {
  public:

@@ -10,7 +10,7 @@
 //      time that every access to a guarded field happens with the right lock
 //      held. Under other compilers they expand to nothing — zero overhead,
 //      and the annotations are still enforced whenever anyone builds with
-//      clang (scripts/lint.sh).
+//      clang (scripts/lint.sh runs that build where clang is on PATH).
 //
 //   2. cfs::Mutex / cfs::SharedMutex: drop-in replacements for std::mutex /
 //      std::shared_mutex carrying the CAPABILITY attribute (std types are
@@ -38,10 +38,10 @@
 //      hook is discarded by `if constexpr (kTrack)` and the wrappers are
 //      bare std mutexes.
 //
-// Lock naming convention (enforced by scripts/docs_lint.sh): construct every
+// Lock naming convention (enforced by scripts/lint.sh): construct every
 // mutex on a single line as  cfs::Mutex mu_{"subsystem.name", rank};  so the
 // registered name/rank can be cross-checked against DESIGN.md's hierarchy
-// table by grep.
+// table.
 
 #ifndef CFS_COMMON_THREAD_ANNOTATIONS_H_
 #define CFS_COMMON_THREAD_ANNOTATIONS_H_

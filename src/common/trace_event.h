@@ -40,7 +40,7 @@
 //     text for terminals (examples/trace_dump.cpp, slow-op logs).
 //
 // The categories below are cross-checked against DESIGN.md §10's
-// observability table by scripts/docs_lint.sh, like lock classes.
+// observability table by scripts/lint.sh, like lock classes.
 
 #ifndef CFS_COMMON_TRACE_EVENT_H_
 #define CFS_COMMON_TRACE_EVENT_H_
@@ -63,7 +63,7 @@ inline constexpr uint32_t kNoNode = UINT32_MAX;
 inline constexpr uint8_t kNoPhase = UINT8_MAX;
 
 // Coarse span taxonomy (the Perfetto "cat" field). Keep in sync with
-// CategoryName() and DESIGN.md §10 (docs_lint.sh cross-checks both).
+// CategoryName() and DESIGN.md §10 (scripts/lint.sh cross-checks both).
 enum class Category : uint8_t {
   kOp = 0,   // root span of one operation
   kResolve,  // path resolution

@@ -34,10 +34,16 @@ Status TwoPhaseCommit::Run(NodeId coordinator,
                            const std::vector<TxnParticipant*>& participants,
                            TxnId txn) {
   // Deduplicate participants (a txn may buffer writes on one shard through
-  // several logical tables).
+  // several logical tables), then order them by net id: the sim-serial
+  // fan-out below draws jitter per call in this order, so it must not
+  // depend on where the allocator put each participant.
   std::vector<TxnParticipant*> unique = participants;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  std::stable_sort(unique.begin(), unique.end(),
+                   [](const TxnParticipant* a, const TxnParticipant* b) {
+                     return a->ParticipantNetId() < b->ParticipantNetId();
+                   });
 
   // Each phase fans out to every participant in parallel (the round-trip
   // latency of a phase is one RPC + one replicated write, not their sum).

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "src/common/simtime.h"
 #include "src/txn/lock_manager.h"
 #include "src/txn/timestamp_oracle.h"
 #include "src/txn/two_phase_commit.h"
@@ -182,6 +184,7 @@ class ToyParticipant : public TxnParticipant {
 
   Status Prepare(TxnId) override {
     prepares++;
+    if (prepare_log != nullptr) prepare_log->push_back(net_id_);
     return vote_yes_ ? Status::Ok() : Status::Aborted("vote no");
   }
   Status Commit(TxnId) override {
@@ -195,6 +198,7 @@ class ToyParticipant : public TxnParticipant {
   NodeId ParticipantNetId() const override { return net_id_; }
 
   int prepares = 0, commits = 0, aborts = 0;
+  std::vector<NodeId>* prepare_log = nullptr;  // appended to by Prepare
 
  private:
   NodeId net_id_;
@@ -250,6 +254,28 @@ TEST(TwoPhaseCommitTest, DeduplicatesParticipants) {
   EXPECT_TRUE(tpc.Run(coord, {&p1, &p1, &p1}, 10).ok());
   EXPECT_EQ(p1.prepares, 1);
   EXPECT_EQ(p1.commits, 1);
+}
+
+TEST(TwoPhaseCommitTest, SimFanOutRunsInNetIdOrderNotAddressOrder) {
+  // The sim-serial fan-out draws jitter per call in participant order; the
+  // order must come from the net ids, not from the heap layout.
+  SimNet net;
+  NodeId coord = net.AddNode("coord", 0);
+  NodeId low_id = net.AddNode("p_low", 1);
+  NodeId high_id = net.AddNode("p_high", 2);
+  ToyParticipant pair[2] = {ToyParticipant(high_id, true),
+                            ToyParticipant(low_id, true)};
+  ASSERT_LT(&pair[0], &pair[1]);  // lower address, higher net id
+  std::vector<NodeId> log;
+  pair[0].prepare_log = &log;
+  pair[1].prepare_log = &log;
+  TwoPhaseCommit tpc(&net);
+  simtime::Scheduler sched(1);
+  Status st = Status::Internal("not run");
+  sched.At(0, [&] { st = tpc.Run(coord, {&pair[0], &pair[1]}, 11); });
+  sched.RunUntil(1000000);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(log, (std::vector<NodeId>{low_id, high_id}));
 }
 
 }  // namespace
