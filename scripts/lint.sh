@@ -34,7 +34,7 @@
 #                  SharedMutex / CondVar, std::atomic, and files under the
 #                  allowlist marker no-guard-lint. The static twin of the
 #                  race detector (src/common/race_detector.h).
-#   cs-scope       a SimNet RPC (Call / Multicast / BeginCall / LockPhaseCall)
+#   cs-scope       a SimNet RPC (Call / FanOut / BeginCall / LockPhaseCall)
 #                  issued while a MutexLock / ReaderMutexLock /
 #                  WriterMutexLock guard is live, in CS_DIRS: the static twin
 #                  of the runtime RpcHoldPolicy (src/common/lock_order.h).
@@ -279,7 +279,7 @@ FNR == 1 {
       if (index(code, gname[i] ".Unlock()")) gon[i] = 0
       else if (index(code, gname[i] ".Lock()")) gon[i] = 1
     }
-    if (!cs_ok && (code ~ /(^|[^A-Za-z0-9_])(LockPhaseCall|BeginCall|Multicast)[ \t]*\(/ || code ~ /[.>]Call[ \t]*\(/))
+    if (!cs_ok && (code ~ /(^|[^A-Za-z0-9_])(LockPhaseCall|BeginCall|FanOut)[ \t]*\(/ || code ~ /[.>]Call[ \t]*\(/))
       for (i = 1; i <= ng; i++) if (gon[i])
         finding(FILENAME, FNR, "cs-scope", "RPC issued while mutex guard \047" gname[i] "\047 (declared line " gline[i] ") is held")
   }
@@ -397,7 +397,7 @@ grep -A2 '^Match #' <<<"$out" | head -60 >&2 || true
 # Unlock()/Lock() toggles, so each match must be resolved by a `.Unlock()`
 # or a justified cs-scope escape within the 40 lines above it.
 out=$(clang-query -p build-tsa "${cs_cc[@]}" \
-  -c 'match callExpr(callee(cxxMethodDecl(hasAnyName("Call","Multicast","BeginCall"), ofClass(hasName("::cfs::SimNet")))), hasAncestor(compoundStmt(hasDescendant(declStmt(containsDeclaration(0, varDecl(hasType(namedDecl(hasAnyName("MutexLock","ReaderMutexLock","WriterMutexLock"))))))))))' \
+  -c 'match callExpr(callee(cxxMethodDecl(hasAnyName("Call","FanOut","BeginCall"), ofClass(hasName("::cfs::SimNet")))), hasAncestor(compoundStmt(hasDescendant(declStmt(containsDeclaration(0, varDecl(hasType(namedDecl(hasAnyName("MutexLock","ReaderMutexLock","WriterMutexLock"))))))))))' \
   2>/dev/null || true)
 while IFS=: read -r f ln; do
   ctx=$(sed -n "$(( ln > 40 ? ln - 40 : 1 )),${ln}p" "$f")

@@ -57,8 +57,9 @@
 //     kAllowedAcrossRpc requires a justification string and marks classes
 //     that *intentionally* model baseline behaviour (the lock manager's
 //     logical row locks, the renamer's directory locks).
-//   - SimNet::BeginCall / Multicast invoke OnRpcEdge with the call's edge
-//     (source and destination node names). Every held entry's RPC count is
+//   - SimNet::BeginCall invokes OnRpcEdge with the call's edge (source and
+//     destination node names) on the calling thread, for every slot of a
+//     FanOut round too, wherever its handler then runs. Every held entry's RPC count is
 //     bumped; a held kNeverAcrossRpc class raises a kRpcUnderLock violation
 //     naming the lock class and the RPC edge (abort by default, counted
 //     when enforcement is off or a recording handler is installed).

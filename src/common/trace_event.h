@@ -15,10 +15,12 @@
 //     name, node}. `node` is an interned cluster-node identity stamped by
 //     SimNet: RPC handlers run on the caller's thread, so propagation of
 //     the trace context across "the network" is the thread itself, and
-//     SimNet::Call/Multicast push the destination node around the handler
-//     (NodeScope). A rename's 2PC fan-out, Raft appends, WAL fsyncs and
-//     renamer dirlock waits therefore appear as one causally-linked span
-//     tree spanning shards, under one trace_id.
+//     SimNet::Call/FanOut push the destination node around the handler
+//     (NodeScope). Raft appends, WAL fsyncs and renamer dirlock waits
+//     therefore appear as one causally-linked span tree spanning shards,
+//     under one trace_id. The exception is a FanOut handler that runs on
+//     SimNet's worker pool (wall-clock modes): it records on the worker,
+//     outside the op's tree; the round's RPC events stay in it.
 //
 //   Sampling policy — two independent retention triggers:
 //     * head sampling: every `sample_every`-th op beginning on a thread is

@@ -1,7 +1,5 @@
 #include "src/core/cfs.h"
 
-#include <unordered_map>
-
 #include "src/common/logging.h"
 #include "src/core/gc.h"
 
@@ -195,27 +193,26 @@ void Cfs::UnregisterEngine(CfsEngine* engine) {
 
 void Cfs::BroadcastInvalidation(const CacheInvalidation& inv) {
   // Snapshot the registry, then fan out with engines_mu_ *released* —
-  // cfs.engines is a never-across-rpc class and the multicast is a network
+  // cfs.engines is a never-across-rpc class and the fan-out is a network
   // round trip. The snapshot's pointers stay alive because a concurrent
   // ~CfsEngine blocks in UnregisterEngine until active_broadcasts_ drains
   // back to zero. An engine registered after the snapshot misses this
   // invalidation, which is safe: it was just constructed and its cache is
   // empty.
-  std::vector<NodeId> dests;
-  std::unordered_map<NodeId, CfsEngine*> by_node;
+  std::vector<CfsEngine*> engines;
   {
     MutexLock lock(engines_mu_);
     if (engines_.empty()) return;
-    dests.reserve(engines_.size());
-    by_node.reserve(engines_.size());
-    for (CfsEngine* engine : engines_) {
-      dests.push_back(engine->self());
-      by_node.emplace(engine->self(), engine);
-    }
+    engines = engines_;
     active_broadcasts_++;
   }
-  net_.Multicast(renamer_->CoordinatorNetId(), dests, [&](NodeId dest) {
-    by_node.at(dest)->ApplyInvalidation(inv);
+  std::vector<NodeId> dests;
+  dests.reserve(engines.size());
+  for (CfsEngine* engine : engines) dests.push_back(engine->self());
+  // Best effort: an unreachable engine restarts cold.
+  (void)net_.FanOut(renamer_->CoordinatorNetId(), dests, [&](size_t i) {
+    engines[i]->ApplyInvalidation(inv);
+    return Status::Ok();
   });
   {
     MutexLock lock(engines_mu_);

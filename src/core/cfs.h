@@ -117,10 +117,10 @@ class Cfs {
   // Blocks until no broadcast is using the snapshot that may contain
   // `engine`, then removes it — so a destroyed engine is never touched.
   void UnregisterEngine(CfsEngine* engine);
-  // Delivers `inv` to every registered engine as one SimNet multicast from
-  // the Renamer coordinator (synchronous, on the renaming caller's
-  // thread). The fan-out runs on a snapshot, indexed by NodeId, with
-  // engines_mu_ *released* (pruned critical-section scope: no lock across
+  // Delivers `inv` to every registered engine as one SimNet::FanOut round
+  // from the Renamer coordinator (synchronous: it returns after every
+  // engine applied it). The fan-out runs on a snapshot with engines_mu_
+  // *released* (pruned critical-section scope: no lock across
   // RPCs); engines are kept alive by an active-broadcast refcount that
   // UnregisterEngine waits on.
   void BroadcastInvalidation(const CacheInvalidation& inv);
@@ -139,7 +139,7 @@ class Cfs {
   std::unique_ptr<Renamer> renamer_;
   // tsa-coverage: allow(start/stop lifecycle only)
   std::unique_ptr<GarbageCollector> gc_;
-  // Guards the registry only; never held across the invalidation multicast
+  // Guards the registry only; never held across the invalidation fan-out
   // (never-across-rpc policy). Kept below simnet.* and dentry.* in rank for
   // the registry operations that nest under resolving paths.
   Mutex engines_mu_{"cfs.engines", 20};
@@ -210,11 +210,17 @@ class CfsEngine : public MetadataClient {
   };
 
   // Resolves the parent directory of `path` (all but the last component).
-  StatusOr<Resolved> ResolveParent(const std::string& path);
-  // Resolves the full path (parent + final dentry read).
+  // A non-null `chain` receives the ids of the directories resolved on the
+  // way, from the root's child down to the parent (a Renamer hint).
+  StatusOr<Resolved> ResolveParent(const std::string& path,
+                                   std::vector<InodeId>* chain = nullptr);
+  // Resolves the full path (parent + final dentry read); a non-null `chain`
+  // receives every id on the way, the final entry's included.
   StatusOr<Resolved> Resolve(const std::string& path,
-                             bool bypass_final_cache = false);
-  StatusOr<InodeId> ResolveDirId(const std::string& path);
+                             bool bypass_final_cache = false,
+                             std::vector<InodeId>* chain = nullptr);
+  StatusOr<InodeId> ResolveDirId(const std::string& path,
+                                 std::vector<InodeId>* chain = nullptr);
 
   // Runs a lock acquire/release RPC under a kLockWait trace span (the
   // paper's "lock phase": the RPC round trips plus in-queue blocking).

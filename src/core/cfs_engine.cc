@@ -224,13 +224,16 @@ PrimitiveResult CfsEngine::ExecDirChange(InodeId dir,
   return result;
 }
 
-StatusOr<InodeId> CfsEngine::ResolveDirId(const std::string& path) {
-  auto resolved = Resolve(path);
+StatusOr<InodeId> CfsEngine::ResolveDirId(const std::string& path,
+                                          std::vector<InodeId>* chain) {
+  const size_t chain_mark = chain != nullptr ? chain->size() : 0;
+  auto resolved = Resolve(path, /*bypass_final_cache=*/false, chain);
   if (resolved.ok() && resolved->type != InodeType::kDirectory) {
     // The cached dentry may be a stale earlier generation of this name
     // (e.g. a file later replaced by a directory): revalidate before
     // surfacing ENOTDIR.
-    resolved = Resolve(path, /*bypass_final_cache=*/true);
+    if (chain != nullptr) chain->resize(chain_mark);
+    resolved = Resolve(path, /*bypass_final_cache=*/true, chain);
   }
   if (!resolved.ok()) return resolved.status();
   if (resolved->type != InodeType::kDirectory) {
@@ -240,12 +243,12 @@ StatusOr<InodeId> CfsEngine::ResolveDirId(const std::string& path) {
 }
 
 StatusOr<CfsEngine::Resolved> CfsEngine::ResolveParent(
-    const std::string& path) {
+    const std::string& path, std::vector<InodeId>* chain) {
   TraceSpan span(Phase::kResolve);
   auto split = SplitParent(path);
   if (!split.ok()) return split.status();
   auto& [parent_path, name] = *split;
-  auto parent_id = ResolveDirId(parent_path);
+  auto parent_id = ResolveDirId(parent_path, chain);
   if (!parent_id.ok()) return parent_id.status();
   Resolved out;
   out.parent = *parent_id;
@@ -255,8 +258,9 @@ StatusOr<CfsEngine::Resolved> CfsEngine::ResolveParent(
   return out;
 }
 
-StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
-                                                 bool bypass_final_cache) {
+StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(
+    const std::string& path, bool bypass_final_cache,
+    std::vector<InodeId>* chain) {
   // The same-phase guard makes the outermost frame of the ResolveParent /
   // ResolveDirId / Resolve recursion own the whole resolution time.
   TraceSpan span(Phase::kResolve);
@@ -267,7 +271,7 @@ StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
     root.type = InodeType::kDirectory;
     return root;
   }
-  auto parent = ResolveParent(path);
+  auto parent = ResolveParent(path, chain);
   if (!parent.ok()) return parent.status();
   Resolved out = std::move(parent).value();
   if (!bypass_final_cache) {
@@ -275,6 +279,7 @@ StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
     if (hit.outcome == DentryCache::Outcome::kHit) {
       out.id = hit.id;
       out.type = hit.type;
+      if (chain != nullptr) chain->push_back(out.id);
       return out;
     }
     if (hit.outcome == DentryCache::Outcome::kNegativeHit) {
@@ -294,6 +299,7 @@ StatusOr<CfsEngine::Resolved> CfsEngine::Resolve(const std::string& path,
   out.id = entry->id;
   out.type = entry->type;
   CachePut(out.path, out.parent, out.id, out.type, entry_epoch);
+  if (chain != nullptr) chain->push_back(out.id);
   return out;
 }
 
@@ -999,12 +1005,15 @@ StatusOr<std::vector<DirEntry>> CfsEngine::ReadDir(const std::string& path) {
 Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   auto src = Resolve(from);
   if (!src.ok()) return src.status();
-  auto dst_parent = ResolveParent(to);
+  bool is_file = src->type != InodeType::kDirectory;
+  // A directory move hands the Renamer the destination's ancestor ids, so
+  // its loop check needs no backpointer walk.
+  std::vector<InodeId> dst_chain;
+  auto dst_parent = ResolveParent(to, is_file ? nullptr : &dst_chain);
   if (!dst_parent.ok()) return dst_parent.status();
   if (src->path == dst_parent->path) return Status::Ok();
 
   bool intra_dir = src->parent == dst_parent->parent;
-  bool is_file = src->type != InodeType::kDirectory;
 
   if (fs_->options().primitives && intra_dir && is_file) {
     // Fast path (§4.3, Figure 8c): one single-shard primitive and nothing
@@ -1044,7 +1053,7 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   }
 
   // Normal path: one RPC to the Renamer coordinator, which locks,
-  // validates (orphan loops), and drives 2PC.
+  // validates (orphan loops), and commits.
   RenameRequest req;
   req.src_parent = src->parent;
   req.src_name = src->name;
@@ -1052,15 +1061,24 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   req.dst_name = dst_parent->name;
   req.src_path = src->path;
   req.dst_path = dst_parent->path;
+  req.dst_chain = std::move(dst_chain);
   Renamer* renamer = fs_->renamer();
-  Status st = fs_->net()->Call(self_, renamer->CoordinatorNetId(),
-                               [&] { return renamer->Rename(req); });
+  auto committed = fs_->net()->Call(self_, renamer->CoordinatorNetId(),
+                                    [&] { return renamer->Rename(req); });
   // The Renamer's post-commit broadcast already invalidated every engine
   // (including this one, subtree-wide for directory moves); these local
   // erases only cover the failure paths where no broadcast was sent.
   CacheErase(src->path);
-  CacheErase(dst_parent->path);
-  return st;
+  if (!committed.ok()) {
+    CacheErase(dst_parent->path);
+    return committed.status();
+  }
+  // Like the fast path: cache the moved entry under step B's epoch.
+  if (committed->moved != kInvalidInode) {
+    CachePut(dst_parent->path, dst_parent->parent, committed->moved,
+             committed->moved_type, committed->dst_parent_epoch);
+  }
+  return Status::Ok();
 }
 
 Status CfsEngine::Link(const std::string& existing,

@@ -144,20 +144,63 @@ Status SimNet::BeginCall(NodeId from, NodeId to, bool inject_latency) {
   return Status::Ok();
 }
 
-size_t SimNet::Multicast(NodeId from, const std::vector<NodeId>& to,
-                         const std::function<void(NodeId)>& fn) {
-  size_t delivered = 0;
-  for (NodeId dest : to) {
-    // The concurrent fan-out completes when the slowest call does: only the
-    // first delivered call charges the round trip.
-    if (!BeginCall(from, dest, /*inject_latency=*/delivered == 0).ok()) {
-      continue;
-    }
-    trace::NodeScope scope(nodes_[dest].trace_node);
-    fn(dest);
-    delivered++;
+namespace {
+
+// One round's slots, shared with the pool workers that help run them. A
+// worker that dequeues its help task after the round finished claims
+// nothing, so it never calls `run`, whose captures live on the caller's
+// stack.
+struct FanOutRound {
+  std::function<void(size_t)> run;
+  std::vector<size_t> slots;  // the delivered slot indices
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> done{0};
+};
+
+}  // namespace
+
+std::vector<Status> SimNet::RunRound(NodeId from,
+                                     const std::vector<NodeId>& dests,
+                                     const std::function<void(size_t)>& run) {
+  auto round = std::make_shared<FanOutRound>();
+  std::vector<Status> delivery;
+  delivery.reserve(dests.size());
+  for (size_t i = 0; i < dests.size(); i++) {
+    // The round completes when its slowest call does: only the first
+    // delivered call charges the round trip.
+    delivery.push_back(BeginCall(from, dests[i],
+                                 /*inject_latency=*/round->slots.empty()));
+    if (delivery.back().ok()) round->slots.push_back(i);
   }
-  return delivered;
+  round->run = [this, &dests, &run](size_t i) {
+    trace::NodeScope scope(nodes_[dests[i]].trace_node);
+    run(i);
+  };
+  const size_t n = round->slots.size();
+  if (n <= 1 || simtime::Current() != nullptr) {
+    for (size_t i : round->slots) round->run(i);
+    return delivery;
+  }
+  auto work = [this](FanOutRound& r) {
+    for (size_t k = r.next.fetch_add(1); k < r.slots.size();
+         k = r.next.fetch_add(1)) {
+      r.run(r.slots[k]);
+      if (r.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          r.slots.size()) {
+        MutexLock lock(fanout_mu_);
+        fanout_cv_.NotifyAll();
+      }
+    }
+  };
+  for (size_t h = 0; h < std::min(n - 1, kFanOutWorkers); h++) {
+    (void)fanout_pool_.Submit([round, work] { work(*round); });
+  }
+  work(*round);
+  MutexLock lock(fanout_mu_);
+  while (round->done.load(std::memory_order_acquire) < n) {
+    fanout_cv_.Wait(fanout_mu_);
+  }
+  return delivery;
 }
 
 int64_t SimNet::InjectLatency(NodeId from, NodeId to) {

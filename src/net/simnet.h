@@ -17,12 +17,18 @@
 //      on the calling thread's OpTrace.
 //
 // The handler then runs synchronously on the caller's thread; services are
-// passive, internally synchronized objects. SimNet itself models no server
-// queueing. The services do: lock queues and raft-log serialization, the
-// effects the paper studies, plus LoadGates (src/common/load_gate.h) that
-// bound concurrent processing per TafDB shard and FileStore node, so a hot
-// node queues in wall-clock mode (DESIGN.md §5). In kVirtual mode a gate
-// only charges its processing time (DESIGN.md §11).
+// passive, internally synchronized objects. SimNet::FanOut issues several
+// calls as one concurrent round: steps 1 and 3 run per destination on the
+// caller's thread (so the scope auditor charges every edge to the caller's
+// held locks), step 2 once per round, and the handlers run concurrently on
+// a small SimNet-owned worker pool — or serially, in order, on a
+// simtime::Scheduler, where helper threads would escape the virtual clock.
+// SimNet itself models no server queueing. The services do: lock queues
+// and raft-log serialization, the effects the paper studies, plus
+// LoadGates (src/common/load_gate.h) that bound concurrent processing per
+// TafDB shard and FileStore node, so a hot node queues in wall-clock mode
+// (DESIGN.md §5). In kVirtual mode a gate only charges its processing time
+// (DESIGN.md §11).
 //
 // Each SimNet registers a dump-time probe ("simnet#<n>") with the global
 // MetricsRegistry exposing total/per-edge call counts and injected latency.
@@ -36,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -45,6 +52,7 @@
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
+#include "src/common/thread_pool.h"
 #include "src/common/trace_event.h"
 
 namespace cfs {
@@ -101,7 +109,7 @@ class SimNet {
   // `inject_latency=false` still does fault checks and hop/edge accounting
   // but charges zero latency — for serialized fan-outs that model one
   // concurrent round and already charged the round trip on another call
-  // (cf. Multicast; used by inline raft replication and sim-mode 2PC).
+  // (cf. FanOut; used by inline raft replication).
   Status BeginCall(NodeId from, NodeId to, bool inject_latency = true);
 
   // Invokes `fn` on the destination as one RPC round trip. If delivery
@@ -119,15 +127,33 @@ class SimNet {
     return std::forward<Fn>(fn)();
   }
 
-  // One concurrent fan-out round: invokes `fn(to)` for every deliverable
-  // destination, with per-destination fault checks and hop/edge accounting,
-  // but the round-trip latency of a single call injected once — the sender
-  // issues all calls in parallel and joins the slowest. Undeliverable
-  // destinations are skipped (fan-out is best-effort; used for cache
-  // invalidation broadcast, where a down client simply restarts cold).
-  // Returns the number of destinations reached.
-  size_t Multicast(NodeId from, const std::vector<NodeId>& to,
-                   const std::function<void(NodeId)>& fn);
+  // One concurrent round: invokes `fn(i)` as an RPC to `dests[i]` for every
+  // slot, and returns each slot's result (fn returns Status or StatusOr<T>).
+  // Every destination gets its own fault check and hop/edge accounting on
+  // the caller's thread, but the round trip is injected once — the sender
+  // issues all calls in parallel and joins the slowest. An undeliverable
+  // slot gets its delivery error while the others still run. Off a
+  // simtime::Scheduler the handlers run concurrently on the SimNet's
+  // worker pool and the caller, which runs every slot no worker has
+  // started before it waits (so a round nested in a handler never waits on
+  // a saturated pool). On a scheduler they run serially in slot order.
+  // Handlers on pool workers record their OpTrace phases, trace events and
+  // thread hops on the worker, not the caller (DESIGN.md §11).
+  template <typename Fn>
+  auto FanOut(NodeId from, const std::vector<NodeId>& dests, Fn&& fn)
+      -> std::vector<decltype(fn(size_t{0}))> {
+    using Result = decltype(fn(size_t{0}));
+    std::vector<std::optional<Result>> ran(dests.size());
+    std::vector<Status> delivery =
+        RunRound(from, dests, [&](size_t i) { ran[i].emplace(fn(i)); });
+    std::vector<Result> out;
+    out.reserve(dests.size());
+    for (size_t i = 0; i < dests.size(); i++) {
+      out.push_back(ran[i].has_value() ? std::move(*ran[i])
+                                       : Result(std::move(delivery[i])));
+    }
+    return out;
+  }
 
   // Stats.
   uint64_t TotalCalls() const { return total_calls_.load(); }
@@ -159,6 +185,11 @@ class SimNet {
     uint32_t trace_node = UINT32_MAX;
     std::unique_ptr<std::atomic<uint64_t>> calls;
   };
+
+  // FanOut's untyped core: delivers and charges every slot, runs `run(i)`
+  // for each delivered one, and returns the per-slot delivery statuses.
+  std::vector<Status> RunRound(NodeId from, const std::vector<NodeId>& dests,
+                               const std::function<void(size_t)>& run);
 
   // Returns the injected round-trip latency in microseconds (0 in kZero,
   // and 0 in kVirtual off the scheduler thread).
@@ -193,6 +224,16 @@ class SimNet {
   mutable Mutex edge_mu_{"simnet.edge", 81};
   std::map<uint64_t, EdgeStat> edges_ GUARDED_BY(edge_mu_);
   uint64_t probe_handle_ = 0;
+  // Fan-out workers, a constant: a round wider than the pool runs its
+  // remaining slots on the caller.
+  static constexpr size_t kFanOutWorkers = 4;
+  // Round completion: the slot that finishes a round notifies under it and
+  // the round's caller waits on it; the slot counts themselves are atomics.
+  Mutex fanout_mu_{"simnet.fanout", 89};
+  CondVar fanout_cv_;
+  // Declared last so it is destroyed (its workers joined) first.
+  // tsa-coverage: allow(internally synchronized)
+  ThreadPool fanout_pool_{kFanOutWorkers, "simnet-fanout"};
 };
 
 }  // namespace cfs

@@ -318,7 +318,7 @@ void RaftNode::ReplicateRoundInline() {
   }
   // The serialized fan-out models one concurrent round (all peers appended
   // in parallel, the leader joins the slowest): only the first delivered
-  // call charges injected latency, like SimNet::Multicast.
+  // call charges injected latency, like SimNet::FanOut.
   bool latency_charged = false;
   for (size_t i = 0; i < peers.size(); i++) {
     AppendRequest req;

@@ -190,7 +190,7 @@ class RaftNode {
   // One synchronous replication round: sends AppendEntries to every peer,
   // advancing match/commit/apply. The serialized fan-out models one
   // concurrent round, so only the first delivered peer call charges
-  // injected latency (cf. SimNet::Multicast). Leader only; no-op otherwise.
+  // injected latency (cf. SimNet::FanOut). Leader only; no-op otherwise.
   void ReplicateRoundInline();
 
   // Inline-mode bootstrap: immediately starts (and, with all peers up,

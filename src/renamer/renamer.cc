@@ -1,5 +1,6 @@
 #include "src/renamer/renamer.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -23,6 +24,26 @@ std::string EntryLockKey(InodeId parent, const std::string& name) {
 }
 
 std::string DirLockKey(InodeId dir) { return "d:" + std::to_string(dir); }
+
+// Whether `chain` is dst_parent's current ancestor chain, judged by the
+// attribute records `attrs` read for it: each is a directory whose parent
+// backpointer is the previous id (the root, for the first), and the last
+// id is dst_parent itself.
+bool ChainVerified(InodeId dst_parent, const std::vector<InodeId>& chain,
+                   const StatusOr<InodeRecord>* attrs) {
+  if (chain.empty()) return dst_parent == kRootInode;
+  if (chain.back() != dst_parent) return false;
+  InodeId parent = kRootInode;
+  for (size_t i = 0; i < chain.size(); i++) {
+    const StatusOr<InodeRecord>& attr = attrs[i];
+    if (!attr.ok() || attr->type != InodeType::kDirectory ||
+        attr->parent != parent) {
+      return false;
+    }
+    parent = chain[i];
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -72,9 +93,9 @@ StatusOr<bool> Renamer::IsAncestorOf(InodeId candidate, InodeId node) {
   return walk == candidate;
 }
 
-Status Renamer::Rename(const RenameRequest& req) {
+StatusOr<CacheInvalidation> Renamer::Rename(const RenameRequest& req) {
   if (req.src_parent == req.dst_parent && req.src_name == req.dst_name) {
-    return Status::Ok();  // rename to itself is a no-op
+    return CacheInvalidation{};  // rename to itself is a no-op
   }
   // The whole normal-path coordination (locks, loop check, 2PC) counts as
   // the renamer phase of the calling op's trace.
@@ -142,18 +163,35 @@ Status Renamer::Rename(const RenameRequest& req) {
     }
   }
 
-  // 2. Re-read and validate both entries under locks.
+  // 2. Re-read both entries under the locks, in one concurrent round with
+  //    the attribute records of the client's ancestor chain for
+  //    dst_parent, which is step 3's evidence.
   TafDbShard* src_shard = tafdb_->ShardFor(req.src_parent);
-  auto src = net_->Call(self, src_shard->ServiceNetId(), [&] {
-    return src_shard->Get(InodeKey::IdRecord(req.src_parent, req.src_name));
-  });
+  TafDbShard* dst_shard = tafdb_->ShardFor(req.dst_parent);
+  const std::vector<InodeId>& chain = req.dst_chain;
+  std::vector<NodeId> dests = {src_shard->ServiceNetId(),
+                               dst_shard->ServiceNetId()};
+  for (InodeId id : chain) {
+    dests.push_back(tafdb_->ShardFor(id)->ServiceNetId());
+  }
+  std::vector<StatusOr<InodeRecord>> reads =
+      net_->FanOut(self, dests, [&](size_t i) {
+        if (i == 0) {
+          return src_shard->Get(
+              InodeKey::IdRecord(req.src_parent, req.src_name));
+        }
+        if (i == 1) {
+          return dst_shard->Get(
+              InodeKey::IdRecord(req.dst_parent, req.dst_name));
+        }
+        InodeId id = chain[i - 2];
+        return tafdb_->ShardFor(id)->Get(InodeKey::AttrRecord(id));
+      });
+  const StatusOr<InodeRecord>& src = reads[0];
+  const StatusOr<InodeRecord>& dst = reads[1];
   if (!src.ok()) return src.status();
   const bool src_is_dir = src->type == InodeType::kDirectory;
 
-  TafDbShard* dst_shard = tafdb_->ShardFor(req.dst_parent);
-  auto dst = net_->Call(self, dst_shard->ServiceNetId(), [&] {
-    return dst_shard->Get(InodeKey::IdRecord(req.dst_parent, req.dst_name));
-  });
   const bool dst_exists = dst.ok();
   if (dst_exists) {
     if (src_is_dir && dst->type != InodeType::kDirectory) {
@@ -165,11 +203,25 @@ Status Renamer::Rename(const RenameRequest& req) {
   }
 
   // 3. Orphan-loop prevention for directory moves: the destination parent
-  //    must not be the moved directory or any of its descendants.
+  //    must not be the moved directory or any of its descendants. A chain
+  //    the round's records verify link by link is dst_parent's ancestry,
+  //    so the check is membership; a stale or wrong chain falls back to
+  //    walking the backpointers one read at a time.
   if (src_is_dir) {
-    auto loop = IsAncestorOf(src->id, req.dst_parent);
-    if (!loop.ok()) return loop.status();
-    if (*loop) {
+    bool loop;
+    if (ChainVerified(req.dst_parent, chain, reads.data() + 2)) {
+      loop = std::find(chain.begin(), chain.end(), src->id) != chain.end();
+    } else {
+      {
+        MutexLock lock(stats_mu_);
+        CFS_SHARED_WRITE(stats_, stats_mu_);
+        stats_.chain_walks++;
+      }
+      auto walked = IsAncestorOf(src->id, req.dst_parent);
+      if (!walked.ok()) return walked.status();
+      loop = *walked;
+    }
+    if (loop) {
       MutexLock lock(stats_mu_);
       CFS_SHARED_WRITE(stats_, stats_mu_);
       stats_.loops_detected++;
@@ -393,6 +445,8 @@ Status Renamer::Rename(const RenameRequest& req) {
   inv.subtree = src_is_dir;
   inv.src_parent = req.src_parent;
   inv.dst_parent = req.dst_parent;
+  inv.moved = src->id;
+  inv.moved_type = src->type;
 
   // 8. Eager cluster-wide invalidation: one synchronous SimNet fan-out to
   //    every client engine before the rename returns. Directory moves drop
@@ -412,7 +466,7 @@ Status Renamer::Rename(const RenameRequest& req) {
       options_.tiered_attrs && filestore_ != nullptr) {
     filestore_->UnrefAsync(replaced->id);
   }
-  return Status::Ok();
+  return inv;
 }
 
 Renamer::Stats Renamer::stats() const {

@@ -7,15 +7,22 @@
 // the Renamer coordinator, which
 //   1. acquires coordinator-local locks on the source entry, destination
 //      entry, and both parent directories (canonically ordered),
-//   2. re-reads and validates both entries from TafDB under those locks,
-//   3. rejects orphaned loops (renaming an ancestor into its own subtree)
-//      by walking the destination's ancestor chain via parent backpointers,
+//   2. re-reads both entries from TafDB under those locks, in one
+//      concurrent SimNet::FanOut round together with the attribute records
+//      of the destination's ancestor chain that the client collected while
+//      resolving the destination (RenameRequest::dst_chain),
+//   3. rejects orphaned loops (renaming an ancestor into its own subtree):
+//      if the chain's records verify link by link against their parent
+//      backpointers, the loop check is membership of the source in the
+//      chain; on any mismatch it walks the backpointers one read at a time,
 //   4. executes the cross-shard mutation as deterministically ordered,
 //      id-hint-guarded single-shard primitives with compensation (see the
 //      commentary in Rename() — a deliberate strengthening of the paper's
 //      "conventional locking and 2PC" so normal-path renames are also
 //      robust against concurrent fast-path primitives),
-//   5. cleans up replaced files' attributes in FileStore after commit.
+//   5. cleans up replaced files' attributes in FileStore after commit, and
+//      returns the committed CacheInvalidation, so the issuing engine
+//      caches the moved entry at its new name.
 //
 // The coordinator role is held by the leader of a small raft group (the
 // paper deploys a 3-node Renamer cluster); the group's log is used only for
@@ -53,6 +60,11 @@ struct RenameRequest {
   // (tests, tools); receivers then fully invalidate both parents.
   std::string src_path;
   std::string dst_path;
+  // The ids of dst_parent's ancestors from the root's child down to
+  // dst_parent itself (empty when dst_parent is the root), as the client
+  // resolved them. Only a hint: the Renamer reads their attribute records
+  // in its validation round and verifies every link before trusting it.
+  std::vector<InodeId> dst_chain;
 };
 
 // Post-commit cache invalidation, broadcast to every client engine after a
@@ -69,6 +81,9 @@ struct CacheInvalidation {
   uint64_t src_parent_epoch = 0;
   InodeId dst_parent = kInvalidInode;
   uint64_t dst_parent_epoch = 0;
+  // The inode now at dst_path (kInvalidInode for a no-op rename).
+  InodeId moved = kInvalidInode;
+  InodeType moved_type = InodeType::kNone;
 };
 
 struct RenamerOptions {
@@ -97,15 +112,19 @@ class Renamer {
   // Front door for RPC accounting (the coordinator node).
   NodeId CoordinatorNetId() const;
 
-  // Executes a normal-path rename. Runs on the caller's thread; the caller
-  // is expected to have routed the RPC via SimNet to CoordinatorNetId().
-  Status Rename(const RenameRequest& req);
+  // Executes a normal-path rename and returns what it committed. Runs on
+  // the caller's thread; the caller is expected to have routed the RPC via
+  // SimNet to CoordinatorNetId().
+  StatusOr<CacheInvalidation> Rename(const RenameRequest& req);
 
   struct Stats {
     uint64_t fast_rejected = 0;   // requests that were actually fast-path
     uint64_t committed = 0;
     uint64_t aborted = 0;
     uint64_t loops_detected = 0;
+    // Directory renames whose dst_chain failed verification, so the loop
+    // check walked the backpointers instead.
+    uint64_t chain_walks = 0;
     uint64_t invalidations_broadcast = 0;
   };
   Stats stats() const;

@@ -1,12 +1,9 @@
 #include "src/txn/two_phase_commit.h"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
 
 #include "src/common/metrics.h"
 #include "src/common/race_detector.h"
-#include "src/common/simtime.h"
 
 namespace cfs {
 namespace {
@@ -34,9 +31,9 @@ Status TwoPhaseCommit::Run(NodeId coordinator,
                            const std::vector<TxnParticipant*>& participants,
                            TxnId txn) {
   // Deduplicate participants (a txn may buffer writes on one shard through
-  // several logical tables), then order them by net id: the sim-serial
-  // fan-out below draws jitter per call in this order, so it must not
-  // depend on where the allocator put each participant.
+  // several logical tables), then order them by net id: on a
+  // simtime::Scheduler the fan-out below runs its slots in this order, so
+  // it must not depend on where the allocator put each participant.
   std::vector<TxnParticipant*> unique = participants;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
@@ -44,55 +41,27 @@ Status TwoPhaseCommit::Run(NodeId coordinator,
                    [](const TxnParticipant* a, const TxnParticipant* b) {
                      return a->ParticipantNetId() < b->ParticipantNetId();
                    });
+  std::vector<NodeId> dests;
+  dests.reserve(unique.size());
+  for (TxnParticipant* p : unique) dests.push_back(p->ParticipantNetId());
 
-  // Each phase fans out to every participant in parallel (the round-trip
-  // latency of a phase is one RPC + one replicated write, not their sum).
-  auto fan_out = [&](const std::function<Status(TxnParticipant*)>& phase)
-      -> std::vector<Status> {
-    std::vector<Status> results(unique.size());
-    if (unique.size() == 1) {
-      results[0] = net_->Call(coordinator, unique[0]->ParticipantNetId(),
-                              [&] { return phase(unique[0]); });
-      return results;
-    }
-    // On a simtime::Scheduler thread, run the fan-out serially in
-    // deterministic participant order: helper threads would escape the
-    // virtual clock and scramble replay. The round trip is charged once
-    // (first call), like the parallel fan-out it models; participant
-    // processing serializes, a documented sim-mode over-charge for
-    // cross-shard phases (DESIGN.md §11).
-    if (simtime::Current() != nullptr) {
-      bool latency_charged = false;
-      for (size_t i = 0; i < unique.size(); i++) {
-        results[i] = net_->Call(
-            coordinator, unique[i]->ParticipantNetId(),
-            [&] { return phase(unique[i]); },
-            /*inject_latency=*/!latency_charged);
-        latency_charged = true;
-      }
-      return results;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(unique.size());
-    for (size_t i = 0; i < unique.size(); i++) {
-      threads.emplace_back([&, i] {
-        results[i] = net_->Call(coordinator, unique[i]->ParticipantNetId(),
-                                [&] { return phase(unique[i]); });
-      });
-    }
-    for (auto& t : threads) t.join();
-    return results;
+  // Each phase is one concurrent round to every participant (the latency
+  // of a phase is one RPC + one replicated write, not their sum).
+  auto fan_out = [&](Status (TxnParticipant::*phase)(TxnId)) {
+    return net_->FanOut(coordinator, dests, [&](size_t i) {
+      return (unique[i]->*phase)(txn);
+    });
   };
 
   // Phase 1: prepare. The spans run on the coordinator thread and so time
   // each phase's full fan-out wall clock, even when participants execute on
-  // helper threads.
+  // SimNet's fan-out workers.
   Metrics().runs->Add();
   Status failure = Status::Ok();
   std::vector<Status> votes;
   {
     TraceSpan span(Phase::kTwoPcPrepare, "2pc_prepare");
-    votes = fan_out([txn](TxnParticipant* p) { return p->Prepare(txn); });
+    votes = fan_out(&TxnParticipant::Prepare);
   }
   {
     MutexLock lock(mu_);
@@ -108,7 +77,7 @@ Status TwoPhaseCommit::Run(NodeId coordinator,
   if (failure.ok()) {
     {
       TraceSpan span(Phase::kTwoPcDecision, "2pc_commit");
-      (void)fan_out([txn](TxnParticipant* p) { return p->Commit(txn); });
+      (void)fan_out(&TxnParticipant::Commit);
     }
     Metrics().committed->Add();
     MutexLock lock(mu_);
@@ -119,7 +88,7 @@ Status TwoPhaseCommit::Run(NodeId coordinator,
   }
   {
     TraceSpan span(Phase::kTwoPcDecision, "2pc_abort");
-    (void)fan_out([txn](TxnParticipant* p) { return p->Abort(txn); });
+    (void)fan_out(&TxnParticipant::Abort);
   }
   Metrics().aborted->Add();
   {

@@ -773,6 +773,33 @@ TEST_P(CfsCoherenceTest, RandomizedRenameLookupInterleavingsZeroStale) {
   EXPECT_EQ(stale_reads, 0);
 }
 
+// The engine that issued a normal-path rename caches the moved entry at
+// its new name under step B's epoch, as the fast path does, so its next op
+// on `to` resolves from the cache instead of re-reading the dentry.
+TEST_P(CfsCoherenceTest, RenamerRenameKeepsIssuerCacheWarm) {
+  ASSERT_TRUE(a_->Mkdir("/a", 0755).ok());
+  ASSERT_TRUE(a_->Mkdir("/c", 0755).ok());
+  ASSERT_TRUE(a_->Create("/a/f", 0644).ok());
+  ASSERT_TRUE(a_->Mkdir("/a/g", 0755).ok());
+  ASSERT_TRUE(a_->GetAttr("/c").ok());
+  Counter* reads = MetricsRegistry::Global().GetCounter("tafdb.reads");
+
+  ASSERT_TRUE(a_->Rename("/a/f", "/c/f").ok());
+  uint64_t before = reads->value();
+  EXPECT_TRUE(a_->GetAttr("/c/f").ok());
+  EXPECT_EQ(reads->value() - before, 0u);
+
+  // A directory's attributes live in TafDB, so its getattr makes exactly
+  // that one read: the dentry comes from the cache.
+  ASSERT_TRUE(a_->Rename("/a/g", "/c/g").ok());
+  before = reads->value();
+  auto moved = a_->GetAttr("/c/g");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->type, InodeType::kDirectory);
+  EXPECT_EQ(reads->value() - before, 1u);
+  EXPECT_TRUE(a_->GetAttr("/a/g").status().IsNotFound());
+}
+
 INSTANTIATE_TEST_SUITE_P(ResolvingModes, CfsCoherenceTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& param) {
                            return param.param ? "ClientResolving" : "Proxied";

@@ -93,17 +93,19 @@ TEST_F(CsScopeTest, RpcChargedToEveryHeldNeverClass) {
   EXPECT_EQ(ScopeOf("t.cs.multi.inner").rpcs_under_lock, 1u);
 }
 
-TEST_F(CsScopeTest, MulticastChargesPerDestination) {
+TEST_F(CsScopeTest, FanOutChargesPerDestination) {
   SimNet net;
   NodeId src = net.AddNode("src", 0);
   std::vector<NodeId> dests{net.AddNode("d0", 1), net.AddNode("d1", 2)};
-  Mutex mu{"t.cs.mcast.mu", 5};
+  Mutex mu{"t.cs.fanout.mu", 5};
   {
     MutexLock lock(mu);
-    net.Multicast(src, dests, [](NodeId) {});
+    // Off a scheduler the handlers run on SimNet's worker pool; the edges
+    // are still charged to the caller's held locks.
+    (void)net.FanOut(src, dests, [](size_t) { return Status::Ok(); });
   }
   EXPECT_EQ(violations_.size(), 2u);
-  EXPECT_EQ(ScopeOf("t.cs.mcast.mu").rpcs_under_lock, 2u);
+  EXPECT_EQ(ScopeOf("t.cs.fanout.mu").rpcs_under_lock, 2u);
   EXPECT_EQ(violations_[0].rpc_edge, "src -> d0");
   EXPECT_EQ(violations_[1].rpc_edge, "src -> d1");
 }
@@ -273,6 +275,44 @@ TEST(CsScopeEndToEndTest, CfsIssuesNoRpcUnderAnyNeverClass) {
   // The dir-rename coordinator really did hold its locks across RPCs.
   EXPECT_GT(ScopeOf("renamer.dirlock").rpcs_under_lock, 0u);
   EXPECT_GT(allowed_rpcs, 0u);
+}
+
+// CFS-base mkdir: row locks on the parent's shard, then two reads, one
+// Stage per participant shard, the 2PC phases, and the unlock, all while
+// the transaction's lockmgr.row scope is held. A same-shard mkdir commits
+// locally instead: reads 2 + commit 1 + unlock 1. A cross-shard one pays
+// reads 2 + stage 2 + prepare 2 + commit 2 + unlock 1 — the 2PC phases
+// included, since FanOut charges every edge on the coordinator's thread.
+// (The lock RPC itself is charged before the scope opens.)
+TEST(CsScopeEndToEndTest, CfsBaseMkdirChargesTwoPcPhasesToRowScope) {
+  CfsOptions options = SmallCfs();
+  CfsOptions base = CfsBaseOptions();
+  options.tiered_attrs = base.tiered_attrs;
+  options.primitives = base.primitives;
+  options.client_resolving = base.client_resolving;
+  options.start_gc = false;
+  Cfs fs(options);
+  ASSERT_TRUE(fs.Start().ok());
+  auto client = fs.NewClient();
+  const size_t root_shard = fs.tafdb()->ShardIndexFor(kRootInode);
+  int cross_shard = 0;
+  for (int i = 0; i < 16 && cross_shard < 2; i++) {
+    std::string path = "/d" + std::to_string(i);
+    uint64_t before = ScopeOf("lockmgr.row").rpcs_under_lock;
+    ASSERT_TRUE(client->Mkdir(path, 0755).ok());
+    uint64_t charged = ScopeOf("lockmgr.row").rpcs_under_lock - before;
+    auto info = client->Lookup(path);
+    ASSERT_TRUE(info.ok());
+    if (fs.tafdb()->ShardIndexFor(info->id) == root_shard) {
+      EXPECT_EQ(charged, 4u) << path;
+    } else {
+      EXPECT_EQ(charged, 9u) << path;
+      cross_shard++;
+    }
+  }
+  EXPECT_EQ(cross_shard, 2);
+  client.reset();
+  fs.Stop();
 }
 
 // HopsFS baseline: lock-based transactions must show RPCs under the

@@ -16,7 +16,7 @@ void Engine::DropsTheGuard() {
 void Engine::JustifiedAbove() {
   WriterMutexLock lock(mu_);
   // cs-scope: allow(the peers are in-process and never block)
-  net_->Multicast(self_, peers_, [] { return Status::Ok(); });
+  net_->FanOut(self_, peers_, [](size_t) { return Status::Ok(); });
 }
 
 void Engine::JustifiedOnLine() {

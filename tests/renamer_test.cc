@@ -1,32 +1,40 @@
-// Renamer service tests: request validation, loop detection via parent
-// backpointers, 2PC commit behaviour, no-op renames, and concurrency
-// (conflicting normal-path renames must serialize, not corrupt).
+// Renamer service tests: request validation, loop detection (a verified
+// client ancestor chain, or the backpointer walk it falls back to), commit
+// behaviour, no-op renames, and concurrency (conflicting normal-path
+// renames must serialize, not corrupt).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
+#include "src/common/metrics.h"
 #include "src/core/cfs.h"
 #include "src/core/gc.h"
 
 namespace cfs {
 namespace {
 
+CfsOptions SmallCfs() {
+  CfsOptions options = CfsFullOptions();
+  options.num_servers = 6;
+  options.tafdb.num_shards = 3;
+  options.tafdb.range_stripe_width = 2;
+  options.tafdb.raft.election_timeout_min_ms = 50;
+  options.tafdb.raft.election_timeout_max_ms = 100;
+  options.tafdb.raft.heartbeat_interval_ms = 20;
+  options.filestore.num_nodes = 2;
+  options.filestore.raft = options.tafdb.raft;
+  options.renamer.raft = options.tafdb.raft;
+  options.start_gc = false;
+  return options;
+}
+
 class RenamerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    CfsOptions options = CfsFullOptions();
-    options.num_servers = 6;
-    options.tafdb.num_shards = 3;
-    options.tafdb.range_stripe_width = 2;
-    options.tafdb.raft.election_timeout_min_ms = 50;
-    options.tafdb.raft.election_timeout_max_ms = 100;
-    options.tafdb.raft.heartbeat_interval_ms = 20;
-    options.filestore.num_nodes = 2;
-    options.filestore.raft = options.tafdb.raft;
-    options.renamer.raft = options.tafdb.raft;
-    options.start_gc = false;
+  void SetUp() override { Boot(SmallCfs()); }
+  void Boot(const CfsOptions& options) {
     fs_ = std::make_unique<Cfs>(options);
     ASSERT_TRUE(fs_->Start().ok());
     client_ = fs_->NewClient();
@@ -40,6 +48,22 @@ class RenamerTest : public ::testing::Test {
     auto info = client_->Lookup(path);
     return info.ok() ? info->id : kInvalidInode;
   }
+
+  // A directory move of `src_parent/name` into `dst_parent` under the same
+  // name, with the given ancestor chain for dst_parent.
+  RenameRequest DirMove(const std::string& src_parent, const std::string& name,
+                        const std::string& dst_parent,
+                        std::vector<InodeId> chain) {
+    RenameRequest req;
+    req.src_parent = src_parent == "/" ? kRootInode : IdOf(src_parent);
+    req.src_name = name;
+    req.dst_parent = IdOf(dst_parent);
+    req.dst_name = name;
+    req.dst_chain = std::move(chain);
+    return req;
+  }
+
+  uint64_t ChainWalks() { return fs_->renamer()->stats().chain_walks; }
 
   std::unique_ptr<Cfs> fs_;
   std::unique_ptr<MetadataClient> client_;
@@ -64,7 +88,7 @@ TEST_F(RenamerTest, MissingSourceFails) {
   req.src_name = "missing";
   req.dst_parent = kRootInode;
   req.dst_name = "x";
-  EXPECT_TRUE(fs_->renamer()->Rename(req).IsNotFound());
+  EXPECT_TRUE(fs_->renamer()->Rename(req).status().IsNotFound());
 }
 
 TEST_F(RenamerTest, DirectoryMoveUpdatesParentPointer) {
@@ -170,6 +194,140 @@ TEST_F(RenamerTest, RacingRenamesOfSameSourceOnlyOneWins) {
   if (fresh->GetAttr("/rc/one").ok()) found++;
   EXPECT_EQ(found, 1);
   EXPECT_TRUE(fresh->GetAttr("/ra/one").status().IsNotFound());
+}
+
+TEST_F(RenamerTest, VerifiedChainRejectsMoveIntoOwnSubtree) {
+  ASSERT_TRUE(client_->Mkdir("/a", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/a/b", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/a/b/c", 0755).ok());
+  std::vector<InodeId> chain = {IdOf("/a"), IdOf("/a/b"), IdOf("/a/b/c")};
+  auto before = fs_->renamer()->stats();
+  Status st = fs_->renamer()->Rename(DirMove("/", "a", "/a/b/c", chain))
+                  .status();
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+  // The client path sends the chain it resolved: the same verdict.
+  EXPECT_EQ(client_->Rename("/a", "/a/b/c/a").code(),
+            ErrorCode::kInvalidArgument);
+  auto after = fs_->renamer()->stats();
+  EXPECT_EQ(after.loops_detected, before.loops_detected + 2);
+  EXPECT_EQ(after.chain_walks, before.chain_walks);
+  // A legal move with a verified chain commits without walking.
+  ASSERT_TRUE(client_->Mkdir("/x", 0755).ok());
+  EXPECT_TRUE(client_->Rename("/x", "/a/b/c/x").ok());
+  EXPECT_EQ(ChainWalks(), before.chain_walks);
+  EXPECT_TRUE(client_->GetAttr("/a/b/c/x").ok());
+}
+
+TEST_F(RenamerTest, StaleChainFallsBackToWalk) {
+  ASSERT_TRUE(client_->Mkdir("/a", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/p", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/p/c", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/q", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/q/r", 0755).ok());
+  std::vector<InodeId> stale_c = {IdOf("/p"), IdOf("/p/c")};
+  std::vector<InodeId> stale_r = {IdOf("/q"), IdOf("/q/r")};
+  // Concurrent directory moves change a link of each chain: c now lives
+  // under /a, and r no longer under /q.
+  ASSERT_TRUE(client_->Rename("/p/c", "/a/c").ok());
+  ASSERT_TRUE(client_->Rename("/q/r", "/p/r").ok());
+
+  // Trusting the stale chain would let /a move under its own child.
+  uint64_t walks = ChainWalks();
+  RenameRequest loop = DirMove("/", "a", "/a/c", stale_c);
+  EXPECT_EQ(fs_->renamer()->Rename(loop).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ChainWalks(), walks + 1);
+  loop.dst_chain.clear();  // the walk alone: the same verdict
+  EXPECT_EQ(fs_->renamer()->Rename(loop).status().code(),
+            ErrorCode::kInvalidArgument);
+
+  // Trusting the other would reject a legal move of /q under /p/r.
+  walks = ChainWalks();
+  EXPECT_TRUE(fs_->renamer()->Rename(DirMove("/", "q", "/p/r", stale_r)).ok());
+  EXPECT_EQ(ChainWalks(), walks + 1);
+}
+
+TEST_F(RenamerTest, ForgedChainFallsBackToWalk) {
+  ASSERT_TRUE(client_->Mkdir("/a", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/a/b", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/a/b/c", 0755).ok());
+  InodeId b = IdOf("/a/b");
+  InodeId c = IdOf("/a/b/c");
+  const std::vector<std::vector<InodeId>> forged = {
+      {b, c},               // skips /a: b's parent is not the root
+      {c},                  // c's parent is not the root
+      {987654321, b, c},    // an id with no attribute record
+      {IdOf("/a"), c, c},   // a repeated link
+  };
+  for (const auto& chain : forged) {
+    uint64_t walks = ChainWalks();
+    EXPECT_EQ(fs_->renamer()->Rename(DirMove("/", "a", "/a/b/c", chain))
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(ChainWalks(), walks + 1);
+  }
+}
+
+TEST_F(RenamerTest, ChainNotEndingAtDstParentFallsBackToWalk) {
+  ASSERT_TRUE(client_->Mkdir("/a", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/a/b", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/a/b/c", 0755).ok());
+  ASSERT_TRUE(client_->Mkdir("/o", 0755).ok());
+  // A valid chain, but for /a/b (and /o), not for the destination /a/b/c.
+  for (const std::vector<InodeId>& chain :
+       {std::vector<InodeId>{IdOf("/a"), IdOf("/a/b")},
+        std::vector<InodeId>{IdOf("/o")}}) {
+    uint64_t walks = ChainWalks();
+    EXPECT_EQ(fs_->renamer()->Rename(DirMove("/", "a", "/a/b/c", chain))
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(ChainWalks(), walks + 1);
+  }
+}
+
+// With a verified chain, a directory move into a depth-3 parent issues the
+// RPCs the walk did (two entry reads plus three ancestor reads), but as one
+// round: with a fixed RTT and no jitter, the coordinator thread's injected
+// latency is three round trips below the walk's.
+TEST_F(RenamerTest, DepthThreeChainReadsInOneRound) {
+  constexpr int64_t kRttUs = 300;
+  CfsOptions options = SmallCfs();
+  options.net.mode = LatencyMode::kSleep;
+  options.net.same_node_rtt_us = kRttUs;
+  options.net.cross_node_rtt_us = kRttUs;
+  options.net.jitter_pct = 0;
+  client_.reset();
+  fs_->Stop();
+  Boot(options);
+  for (const char* dir : {"/p", "/p/q", "/p/q/r", "/s", "/s/m1", "/s/m2",
+                          "/s/m3"}) {
+    ASSERT_TRUE(client_->Mkdir(dir, 0755).ok()) << dir;
+  }
+  std::vector<InodeId> chain = {IdOf("/p"), IdOf("/p/q"), IdOf("/p/q/r")};
+  // Warm-up: the first rename fetches the coordinator's timestamp batch.
+  ASSERT_TRUE(fs_->renamer()->Rename(DirMove("/s", "m3", "/p/q/r", chain)).ok());
+
+  struct Cost {
+    uint64_t rpcs;
+    int64_t rpc_us;
+  };
+  auto measure = [&](const RenameRequest& req) {
+    SimNet::ResetThreadHops();
+    OpTrace::ClearPhase(Phase::kRpc);
+    EXPECT_TRUE(fs_->renamer()->Rename(req).ok());
+    Cost cost{SimNet::ThreadHops(), OpTrace::PhaseUs(Phase::kRpc)};
+    OpTrace::ClearPhase(Phase::kRpc);
+    return cost;
+  };
+  uint64_t walks = ChainWalks();
+  Cost round = measure(DirMove("/s", "m1", "/p/q/r", chain));
+  EXPECT_EQ(ChainWalks(), walks);
+  Cost walked = measure(DirMove("/s", "m2", "/p/q/r", {}));
+  EXPECT_EQ(ChainWalks(), walks + 1);
+  EXPECT_EQ(round.rpcs, walked.rpcs);
+  EXPECT_EQ(walked.rpc_us - round.rpc_us, 3 * kRttUs);
 }
 
 }  // namespace

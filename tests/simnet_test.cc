@@ -1,6 +1,15 @@
-// Unit tests for SimNet: delivery, latency modes, fault injection, stats.
+// Unit tests for SimNet: delivery, latency modes, fault injection, stats,
+// and FanOut rounds off a simtime::Scheduler (on one: simnet_virtual_test).
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/metrics.h"
@@ -180,6 +189,113 @@ TEST(SimNetTest, NamesAndServers) {
   EXPECT_EQ(net.NameOf(a), "alpha");
   EXPECT_EQ(net.ServerOf(a), 3u);
   EXPECT_EQ(net.NumNodes(), 1u);
+}
+
+// --- FanOut off a scheduler: handlers run on the worker pool ---------------
+
+std::vector<NodeId> AddNodes(SimNet* net, size_t n) {
+  std::vector<NodeId> nodes;
+  for (size_t i = 0; i < n; i++) {
+    nodes.push_back(net->AddNode("d" + std::to_string(i),
+                                 static_cast<uint32_t>(i + 1)));
+  }
+  return nodes;
+}
+
+TEST(SimNetFanOutTest, HandlersRunConcurrently) {
+  SimNet net;
+  NodeId from = net.AddNode("src", 0);
+  std::vector<NodeId> dests = AddNodes(&net, 4);
+  // Four 2 ms handlers run serially would take 8 ms. The best of three
+  // rounds keeps a briefly descheduled worker from failing the test.
+  int64_t best_us = INT64_MAX;
+  for (int round = 0; round < 3; round++) {
+    Stopwatch sw;
+    auto results = net.FanOut(from, dests, [](size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return Status::Ok();
+    });
+    best_us = std::min(best_us, sw.ElapsedMicros());
+    ASSERT_EQ(results.size(), 4u);
+    for (const Status& st : results) EXPECT_TRUE(st.ok());
+  }
+  EXPECT_LT(best_us, 6000);
+  EXPECT_EQ(net.TotalCalls(), 12u);
+}
+
+TEST(SimNetFanOutTest, EachRoundInjectsOneRtt) {
+  NetOptions options;
+  options.mode = LatencyMode::kSleep;
+  options.cross_node_rtt_us = 500;
+  options.same_node_rtt_us = 0;
+  options.jitter_pct = 0;
+  SimNet net(options);
+  NodeId from = net.AddNode("src", 0);
+  std::vector<NodeId> dests = AddNodes(&net, 3);
+  SimNet::ResetThreadHops();
+  OpTrace::ClearPhase(Phase::kRpc);
+  for (int round = 1; round <= 3; round++) {
+    (void)net.FanOut(from, dests, [](size_t) { return Status::Ok(); });
+    EXPECT_EQ(net.TotalInjectedLatencyUs(), round * 500);
+  }
+  // Every edge is counted, on the calling thread.
+  EXPECT_EQ(net.TotalCalls(), 9u);
+  EXPECT_EQ(SimNet::ThreadHops(), 9u);
+  EXPECT_EQ(OpTrace::PhaseUs(Phase::kRpc), 1500);
+  OpTrace::ClearPhase(Phase::kRpc);
+}
+
+TEST(SimNetFanOutTest, DownDestinationFailsOnlyItsSlot) {
+  SimNet net;
+  NodeId from = net.AddNode("src", 0);
+  std::vector<NodeId> dests = AddNodes(&net, 3);
+  net.SetNodeDown(dests[1], true);
+  std::atomic<int> ran{0};
+  auto results = net.FanOut(from, dests, [&](size_t i) -> StatusOr<size_t> {
+    ran++;
+    return i * 10;
+  });
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_EQ(*results[0], 0u);
+  EXPECT_EQ(results[1].status().code(), ErrorCode::kUnavailable);
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_EQ(*results[2], 20u);
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(net.CallsTo(dests[1]), 0u);
+}
+
+TEST(SimNetFanOutTest, NestedRoundCompletesWhilePoolIsSaturated) {
+  SimNet net;
+  NodeId from = net.AddNode("src", 0);
+  std::vector<NodeId> outer = AddNodes(&net, 5);
+  std::vector<NodeId> inner = {net.AddNode("i0", 7), net.AddNode("i1", 8),
+                               net.AddNode("i2", 9)};
+  // Five outer handlers occupy every pool worker and the caller: each
+  // waits until all five run (bounded, so a regression fails instead of
+  // hanging), then starts a nested round whose helpers can only queue.
+  std::atomic<int> started{0};
+  std::atomic<int> all_started{0};
+  std::atomic<int> inner_ran{0};
+  auto results = net.FanOut(from, outer, [&](size_t i) {
+    started++;
+    Stopwatch sw;
+    while (started.load() < 5 && sw.ElapsedMicros() < 2000000) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 5) all_started++;
+    auto nested = net.FanOut(outer[i], inner, [&](size_t) {
+      inner_ran++;
+      return Status::Ok();
+    });
+    for (const Status& st : nested) {
+      if (!st.ok()) return st;
+    }
+    return Status::Ok();
+  });
+  for (const Status& st : results) EXPECT_TRUE(st.ok());
+  EXPECT_EQ(all_started.load(), 5);
+  EXPECT_EQ(inner_ran.load(), 15);
 }
 
 }  // namespace
