@@ -30,7 +30,7 @@ void BM_VarintRoundTrip(benchmark::State& state) {
     std::string buf;
     PutVarint64(&buf, 0x123456789aULL);
     Decoder dec(buf);
-    uint64_t v;
+    uint64_t v = 0;
     dec.GetVarint64(&v);
     benchmark::DoNotOptimize(v);
   }
@@ -113,8 +113,9 @@ void BM_ExecutePrimitiveCreate(benchmark::State& state) {
     UpdateSpec bump;
     bump.key = InodeKey::AttrRecord(1);
     bump.children_delta = 1;
+    InodeId id = ++seq;
     auto op = PrimitiveOp::InsertWithUpdate(
-        InodeRecord::MakeIdRecord(1, "f" + std::to_string(seq++), seq,
+        InodeRecord::MakeIdRecord(1, "f" + std::to_string(id), id,
                                   InodeType::kFile),
         check, bump);
     benchmark::DoNotOptimize(ExecutePrimitive(op, &kv));
@@ -131,7 +132,6 @@ void BM_PrimitiveEncodeDecode(benchmark::State& state) {
   bump.key = InodeKey::AttrRecord(1);
   bump.children_delta = 1;
   bump.lww.mtime = 99;
-  bump.lww.ts = 99;
   auto op = PrimitiveOp::InsertWithUpdate(
       InodeRecord::MakeIdRecord(1, "file", 2, InodeType::kFile), check, bump);
   for (auto _ : state) {

@@ -109,7 +109,6 @@ Status HopsFsEngine::InsertInode(const std::string& path, InodeRecord row) {
   parent_image.children += 1;
   if (row.type == InodeType::kDirectory) parent_image.links += 1;
   parent_image.mtime = ts;
-  parent_image.lww_ts = ts;
   ops[tafdb_->ShardIndexFor(parent_kid)].puts.push_back(parent_image);
   Status commit_st = CommitWriteSets(std::move(ops), txn);
   unlock_all();
@@ -205,7 +204,6 @@ Status HopsFsEngine::Unlink(const std::string& path) {
   InodeRecord parent_image = std::move(parent_row).value();
   parent_image.children -= 1;
   parent_image.mtime = ts;
-  parent_image.lww_ts = ts;
   ops[tafdb_->ShardIndexFor(parent_row_key->kid)].puts.push_back(parent_image);
   Status commit_st = CommitWriteSets(std::move(ops), txn);
   unlock_all();
@@ -282,7 +280,6 @@ Status HopsFsEngine::Rmdir(const std::string& path) {
   parent_image.children -= 1;
   parent_image.links -= 1;
   parent_image.mtime = ts;
-  parent_image.lww_ts = ts;
   ops[tafdb_->ShardIndexFor(parent_row_key->kid)].puts.push_back(parent_image);
   Status commit_st = CommitWriteSets(std::move(ops), txn);
   unlock_all();
@@ -350,7 +347,6 @@ Status HopsFsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
     update.lww.mtime = spec.mtime;
     update.lww.size = spec.size;
     update.lww.ctime = ts;
-    update.lww.ts = ts;
     ApplyUpdateToRecord(update, 0, &image);
     std::map<size_t, PrimitiveOp> ops;
     ops[tafdb_->ShardIndexFor(row_key.kid)].puts.push_back(image);
@@ -481,14 +477,12 @@ Status HopsFsEngine::Rename(const std::string& from, const std::string& to) {
     image.children -= 1;
     if (same_parent_row && !dst_exists) image.children += 1;
     image.mtime = ts;
-    image.lww_ts = ts;
     ops[tafdb_->ShardIndexFor(src_parent_row_key->kid)].puts.push_back(image);
   }
   if (!same_parent_row) {
     InodeRecord image = std::move(dst_parent_row).value();
     if (!dst_exists) image.children += 1;
     image.mtime = ts;
-    image.lww_ts = ts;
     ops[tafdb_->ShardIndexFor(dst_parent_row_key->kid)].puts.push_back(image);
   }
   Status commit_st = CommitWriteSets(std::move(ops), txn);

@@ -67,7 +67,6 @@ Status InfiniFsEngine::InsertInode(const std::string& path, InodeRecord row) {
         InodeRecord content_image = std::move(content).value();
         content_image.children += 1;
         content_image.mtime = ts;
-        content_image.lww_ts = ts;
         op.puts.push_back(content_image);
         st = shard->CommitLocal(op).status;
       }
@@ -103,7 +102,6 @@ Status InfiniFsEngine::InsertInode(const std::string& path, InodeRecord row) {
   content_image.children += 1;
   content_image.links += 1;
   content_image.mtime = ts;
-  content_image.lww_ts = ts;
   parent_op.puts.push_back(content_image);
   InodeRecord new_content = InodeRecord::MakeDirAttr(new_id, ts, row.mode,
                                                      row.uid, row.gid, P);
@@ -178,7 +176,6 @@ Status InfiniFsEngine::Unlink(const std::string& path) {
         InodeRecord content_image = std::move(content).value();
         content_image.children -= 1;
         content_image.mtime = ts;
-        content_image.lww_ts = ts;
         op.puts.push_back(content_image);
         st = shard->CommitLocal(op).status;
       }
@@ -265,7 +262,6 @@ Status InfiniFsEngine::Rmdir(const std::string& path) {
     image.children -= 1;
     image.links -= 1;
     image.mtime = ts;
-    image.lww_ts = ts;
     op.puts.push_back(image);
   }
   {
@@ -353,7 +349,6 @@ Status InfiniFsEngine::SetAttr(const std::string& path,
       update.lww.mtime = spec.mtime;
       update.lww.size = spec.size;
       update.lww.ctime = ts;
-      update.lww.ts = ts;
       ApplyUpdateToRecord(update, 0, &image);
       PrimitiveOp op;
       op.puts.push_back(image);
@@ -433,7 +428,6 @@ Status InfiniFsEngine::Rename(const std::string& from, const std::string& to) {
             InodeRecord image = std::move(content).value();
             if (dst_exists) image.children -= 1;
             image.mtime = ts;
-            image.lww_ts = ts;
             op.puts.push_back(image);
             body_st = shard->CommitLocal(op).status;
           }
@@ -543,14 +537,12 @@ Status InfiniFsEngine::Rename(const std::string& from, const std::string& to) {
     image.children -= 1;
     if (same_parent && !dst_exists) image.children += 1;
     image.mtime = ts;
-    image.lww_ts = ts;
     ops[tafdb_->ShardIndexFor(src_content.kid)].puts.push_back(image);
   }
   if (!same_parent) {
     InodeRecord image = std::move(dst_content_row).value();
     if (!dst_exists) image.children += 1;
     image.mtime = ts;
-    image.lww_ts = ts;
     ops[tafdb_->ShardIndexFor(dst_content.kid)].puts.push_back(image);
   }
   if (is_dir) {

@@ -31,87 +31,6 @@ CfsOptions CfsFullOptions() {
   return options;
 }
 
-namespace {
-
-// Thin client used in proxy mode: every operation is one extra RPC hop to a
-// metadata proxy node, where a server-side engine resolves and executes it
-// (the architecture CFS's client-side metadata resolving removes, §3.1).
-class ProxyClientStub : public MetadataClient {
- public:
-  ProxyClientStub(Cfs* fs, NodeId client_node, size_t proxy_index)
-      : fs_(fs), self_(client_node), proxy_index_(proxy_index) {}
-
-  Status Mkdir(const std::string& path, uint32_t mode) override {
-    return Forward([&](CfsEngine* e) { return e->Mkdir(path, mode); });
-  }
-  Status Rmdir(const std::string& path) override {
-    return Forward([&](CfsEngine* e) { return e->Rmdir(path); });
-  }
-  Status Create(const std::string& path, uint32_t mode) override {
-    return Forward([&](CfsEngine* e) { return e->Create(path, mode); });
-  }
-  Status Unlink(const std::string& path) override {
-    return Forward([&](CfsEngine* e) { return e->Unlink(path); });
-  }
-  StatusOr<FileInfo> Lookup(const std::string& path) override {
-    return ForwardOr<FileInfo>([&](CfsEngine* e) { return e->Lookup(path); });
-  }
-  StatusOr<FileInfo> GetAttr(const std::string& path) override {
-    return ForwardOr<FileInfo>([&](CfsEngine* e) { return e->GetAttr(path); });
-  }
-  Status SetAttr(const std::string& path, const SetAttrSpec& spec) override {
-    return Forward([&](CfsEngine* e) { return e->SetAttr(path, spec); });
-  }
-  StatusOr<std::vector<DirEntry>> ReadDir(const std::string& path) override {
-    return ForwardOr<std::vector<DirEntry>>(
-        [&](CfsEngine* e) { return e->ReadDir(path); });
-  }
-  Status Rename(const std::string& from, const std::string& to) override {
-    return Forward([&](CfsEngine* e) { return e->Rename(from, to); });
-  }
-  Status Symlink(const std::string& target,
-                 const std::string& link_path) override {
-    return Forward([&](CfsEngine* e) { return e->Symlink(target, link_path); });
-  }
-  StatusOr<std::string> ReadLink(const std::string& path) override {
-    return ForwardOr<std::string>(
-        [&](CfsEngine* e) { return e->ReadLink(path); });
-  }
-  Status Link(const std::string& existing,
-              const std::string& link_path) override {
-    return Forward([&](CfsEngine* e) { return e->Link(existing, link_path); });
-  }
-  Status Write(const std::string& path, uint64_t offset,
-               const std::string& data) override {
-    return Forward([&](CfsEngine* e) { return e->Write(path, offset, data); });
-  }
-  StatusOr<std::string> Read(const std::string& path, uint64_t offset,
-                             size_t length) override {
-    return ForwardOr<std::string>(
-        [&](CfsEngine* e) { return e->Read(path, offset, length); });
-  }
-
- private:
-  template <typename Fn>
-  Status Forward(Fn&& fn) {
-    CfsEngine* engine = fs_->proxy_engine(proxy_index_);
-    return fs_->net()->Call(self_, fs_->proxy_net_id(proxy_index_),
-                            [&] { return fn(engine); });
-  }
-  template <typename T, typename Fn>
-  StatusOr<T> ForwardOr(Fn&& fn) {
-    CfsEngine* engine = fs_->proxy_engine(proxy_index_);
-    return fs_->net()->Call(self_, fs_->proxy_net_id(proxy_index_),
-                            [&]() -> StatusOr<T> { return fn(engine); });
-  }
-
-  Cfs* fs_;
-  NodeId self_;
-  size_t proxy_index_;
-};
-
-}  // namespace
-
 Cfs::Cfs(CfsOptions options) : options_(std::move(options)), net_(options_.net) {
   std::vector<uint32_t> servers;
   for (uint32_t s = 0; s < options_.num_servers; s++) {
@@ -233,7 +152,8 @@ std::unique_ptr<MetadataClient> Cfs::NewClient() {
     return std::make_unique<CfsEngine>(this, node);
   }
   size_t proxy = next_proxy_.fetch_add(1) % proxy_engines_.size();
-  return std::make_unique<ProxyClientStub>(this, node, proxy);
+  return std::make_unique<ForwardingClient>(&net_, node, proxy_nodes_[proxy],
+                                            proxy_engines_[proxy].get());
 }
 
 }  // namespace cfs

@@ -105,11 +105,6 @@ class Cfs {
   GarbageCollector* gc() { return gc_.get(); }
   const CfsOptions& options() const { return options_; }
 
-  // Internal: engines living on proxy nodes (round-robin assigned).
-  CfsEngine* proxy_engine(size_t i) { return proxy_engines_[i].get(); }
-  size_t num_proxies() const { return proxy_engines_.size(); }
-  NodeId proxy_net_id(size_t i) const { return proxy_nodes_[i]; }
-
   // Engine registry for cache-invalidation broadcast. Engines register in
   // their constructor and unregister in their destructor, so every engine
   // must be destroyed before its Cfs (all current call sites already do).
@@ -148,7 +143,7 @@ class Cfs {
   // waits for this to drain before letting an engine die.
   int active_broadcasts_ GUARDED_BY(engines_mu_) = 0;
   CondVar engines_cv_;
-  // Filled by the constructor; const thereafter (RouteEngine only reads).
+  // Filled by the constructor; const thereafter (NewClient only reads).
   // tsa-coverage: allow(immutable after construction)
   std::vector<NodeId> proxy_nodes_;
   // tsa-coverage: allow(immutable after construction)

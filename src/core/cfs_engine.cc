@@ -14,11 +14,16 @@
 // crashes leave only orphaned attributes for the GC.
 //
 // With primitives disabled the same operations run as conventional
-// lock-based read-modify-write transactions: row locks acquired in the
-// shard's lock manager, interactive reads under the locks, buffered
-// absolute write images, and 2PC when the write set spans shards. The lock
-// hold time therefore includes every network round trip in between — the
-// critical-section scope the paper measures and prunes.
+// lock-based transactions: row locks acquired in the shard's lock manager,
+// interactive reads under the locks, buffered write sets, and 2PC when the
+// write set spans shards. The lock hold time therefore includes every
+// network round trip in between — the critical-section scope the paper
+// measures and prunes. Attribute changes are committed as the same update
+// specs the primitives carry, not as images of the records read under the
+// locks: the Renamer reparents a moved directory without locking its
+// attribute row, and an image would put the old backpointer back. Every
+// last-writer-wins field is ordered by the owning shard's raft apply order
+// (primitives.h).
 
 #include <algorithm>
 #include <functional>
@@ -410,7 +415,6 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
   bump.key = InodeKey::AttrRecord(parent->parent);
   bump.children_delta = 1;
   bump.lww.mtime = ts;
-  bump.lww.ts = ts;
 
   if (fs_->options().primitives) {
     // Figure 7/8a ordering: leaf attribute first, namespace link last.
@@ -460,11 +464,7 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
   std::map<size_t, PrimitiveOp> ops;
   PrimitiveOp& nsop = ops[fs_->tafdb()->ShardIndexFor(parent->parent)];
   nsop.puts.push_back(entry);
-  InodeRecord parent_image = std::move(parent_attr).value();
-  parent_image.children += 1;
-  parent_image.mtime = ts;
-  parent_image.lww_ts = ts;
-  nsop.puts.push_back(parent_image);
+  nsop.updates.push_back(bump);
 
   Status commit_st;
   if (fs_->options().tiered_attrs) {
@@ -489,8 +489,6 @@ Status CfsEngine::CreateCommon(const std::string& path, uint32_t mode,
       return tpc.Run(self_, {shard_p, node}, txn);
     }();
   } else {
-    PrimitiveOp attr_op;
-    attr_op.puts.push_back(attr);
     ops[fs_->tafdb()->ShardIndexFor(id)].puts.push_back(attr);
     commit_st = CommitWriteSets(std::move(ops), txn);
   }
@@ -531,7 +529,6 @@ Status CfsEngine::Mkdir(const std::string& path, uint32_t mode) {
   bump.children_delta = 1;
   bump.links_delta = 1;  // subdirectory's ".." link
   bump.lww.mtime = ts;
-  bump.lww.ts = ts;
 
   if (fs_->options().primitives) {
     // Step 1: the new directory's attribute record (benign orphan on
@@ -584,12 +581,7 @@ Status CfsEngine::Mkdir(const std::string& path, uint32_t mode) {
   std::map<size_t, PrimitiveOp> ops;
   PrimitiveOp& nsop = ops[fs_->tafdb()->ShardIndexFor(parent->parent)];
   nsop.puts.push_back(entry);
-  InodeRecord parent_image = std::move(parent_attr).value();
-  parent_image.children += 1;
-  parent_image.links += 1;
-  parent_image.mtime = ts;
-  parent_image.lww_ts = ts;
-  nsop.puts.push_back(parent_image);
+  nsop.updates.push_back(bump);
   ops[fs_->tafdb()->ShardIndexFor(id)].puts.push_back(dir_attr);
 
   Status commit_st = CommitWriteSets(std::move(ops), txn);
@@ -613,7 +605,11 @@ Status CfsEngine::Rmdir(const std::string& path) {
   if (resolved->id == kRootInode) {
     return Status::InvalidArgument("cannot remove /");
   }
-  uint64_t ts = NowTs();
+  UpdateSpec dec;
+  dec.key = InodeKey::AttrRecord(resolved->parent);
+  dec.children_delta = -1;
+  dec.links_delta = -1;
+  dec.lww.mtime = NowTs();
 
   if (fs_->options().primitives) {
     // Step 1 (deletion-first order): atomically verify emptiness and retire
@@ -641,12 +637,6 @@ Status CfsEngine::Rmdir(const std::string& path) {
     del_entry.type_is = InodeType::kDirectory;
     del_entry.hint_id = resolved->id;
     del_entry.expect_attr_cleanup = true;
-    UpdateSpec dec;
-    dec.key = InodeKey::AttrRecord(resolved->parent);
-    dec.children_delta = -1;
-    dec.links_delta = -1;
-    dec.lww.mtime = ts;
-    dec.lww.ts = ts;
     PrimitiveResult r2 =
         ExecDirChange(resolved->parent, resolved->dir_path,
                       PrimitiveOp::DeleteWithUpdate(del_entry, dec));
@@ -743,12 +733,7 @@ Status CfsEngine::Rmdir(const std::string& path) {
     del.expect_attr_cleanup = true;
     op.deletes.push_back(del);
     op.epoch_dir = resolved->parent;
-    InodeRecord parent_image = std::move(parent_attr).value();
-    parent_image.children -= 1;
-    parent_image.links -= 1;
-    parent_image.mtime = ts;
-    parent_image.lww_ts = ts;
-    op.puts.push_back(parent_image);
+    op.updates.push_back(dec);
   }
   {
     PrimitiveOp& op = ops[index_d];
@@ -775,7 +760,10 @@ Status CfsEngine::Unlink(const std::string& path) {
   if (resolved->type == InodeType::kDirectory) {
     return Status::IsADirectory(path);
   }
-  uint64_t ts = NowTs();
+  UpdateSpec dec;
+  dec.key = InodeKey::AttrRecord(resolved->parent);
+  dec.children_delta = -1;
+  dec.lww.mtime = NowTs();
 
   if (fs_->options().primitives) {
     // Figure 8b: unlink the namespace first (atomic, checked), then remove
@@ -785,11 +773,6 @@ Status CfsEngine::Unlink(const std::string& path) {
     del.forbid_directory = true;
     del.hint_id = resolved->id;
     del.expect_attr_cleanup = true;
-    UpdateSpec dec;
-    dec.key = InodeKey::AttrRecord(resolved->parent);
-    dec.children_delta = -1;
-    dec.lww.mtime = ts;
-    dec.lww.ts = ts;
     PrimitiveResult result =
         ExecDirChange(resolved->parent, resolved->dir_path,
                       PrimitiveOp::DeleteWithUpdate(del, dec));
@@ -836,11 +819,7 @@ Status CfsEngine::Unlink(const std::string& path) {
   del.expect_attr_cleanup = true;
   nsop.deletes.push_back(del);
   nsop.epoch_dir = resolved->parent;
-  InodeRecord parent_image = std::move(parent_attr).value();
-  parent_image.children -= 1;
-  parent_image.mtime = ts;
-  parent_image.lww_ts = ts;
-  nsop.puts.push_back(parent_image);
+  nsop.updates.push_back(dec);
 
   Status commit_st;
   if (fs_->options().tiered_attrs) {
@@ -863,7 +842,6 @@ Status CfsEngine::Unlink(const std::string& path) {
     TwoPhaseCommit tpc(fs_->net());
     commit_st = tpc.Run(self_, {shard_p, node}, txn);
   } else {
-    PrimitiveOp attr_op;
     DeleteSpec del_attr;
     del_attr.key = InodeKey::AttrRecord(entry->id);
     del_attr.ifexist = true;
@@ -932,7 +910,6 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
   update.lww.mtime = spec.mtime;
   update.lww.size = spec.size;
   update.lww.ctime = ts;
-  update.lww.ts = ts;
 
   if (resolved->type != InodeType::kDirectory && fs_->options().tiered_attrs) {
     FileStoreNode* node = fs_->filestore()->NodeFor(resolved->id);
@@ -953,7 +930,7 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
     return ExecOnShard(resolved->id, op).status;
   }
 
-  // Conventional path: lock, read, write image.
+  // Conventional path: lock, read, commit the update spec.
   TafDbShard* shard = fs_->tafdb()->ShardFor(resolved->id);
   TxnId txn = NextTxn();
   std::string attr_key = InodeKey::AttrRecord(resolved->id).Encode();
@@ -965,10 +942,8 @@ Status CfsEngine::SetAttr(const std::string& path, const SetAttrSpec& spec) {
   auto attr = ReadTafAttr(resolved->id);
   Status commit_st = attr.status();
   if (attr.ok()) {
-    InodeRecord image = std::move(attr).value();
-    ApplyUpdateToRecord(update, 0, &image);
     PrimitiveOp op;
-    op.puts.push_back(image);
+    op.updates.push_back(update);
     op.epoch_dir = epoch_dir;
     commit_st = fs_->net()->Call(self_, shard->ServiceNetId(), [&] {
       return shard->CommitLocal(op).status;
@@ -1035,7 +1010,6 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
     upd.key = InodeKey::AttrRecord(dst_parent->parent);
     upd.children_delta_auto = true;
     upd.lww.mtime = ts;
-    upd.lww.ts = ts;
     PrimitiveResult result = ExecDirChange(
         src->parent, src->dir_path,
         PrimitiveOp::InsertAndDeleteWithUpdate(moved, {del_a, del_b}, upd, {}));
@@ -1100,7 +1074,6 @@ Status CfsEngine::Link(const std::string& existing,
   bump_links.key = InodeKey::AttrRecord(src->id);
   bump_links.links_delta = 1;
   bump_links.lww.ctime = ts;
-  bump_links.lww.ts = ts;
   if (fs_->options().tiered_attrs) {
     FileStoreNode* node = fs_->filestore()->NodeFor(src->id);
     Status st = fs_->net()->Call(self_, node->ServiceNetId(), [&] {
@@ -1120,7 +1093,6 @@ Status CfsEngine::Link(const std::string& existing,
   bump.key = InodeKey::AttrRecord(parent->parent);
   bump.children_delta = 1;
   bump.lww.mtime = ts;
-  bump.lww.ts = ts;
   auto op =
       PrimitiveOp::InsertWithUpdate(entry, ParentIsDir(parent->parent), bump);
   PrimitiveResult result = ExecOnShard(parent->parent, op);
@@ -1179,7 +1151,6 @@ Status CfsEngine::Write(const std::string& path, uint64_t offset,
     update.key = InodeKey::AttrRecord(resolved->id);
     update.size_delta = static_cast<int64_t>(data.size());
     update.lww.mtime = ts;
-    update.lww.ts = ts;
     PrimitiveOp op;
     op.updates.push_back(update);
     return ExecOnShard(resolved->id, op).status;

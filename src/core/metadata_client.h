@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/net/simnet.h"
 #include "src/tafdb/schema.h"
 
 namespace cfs {
@@ -91,6 +92,84 @@ class MetadataClient {
                        const std::string& data) = 0;
   virtual StatusOr<std::string> Read(const std::string& path, uint64_t offset,
                                      size_t length) = 0;
+};
+
+// Forwards every MetadataClient call through SimNet to an engine living on
+// another node: the metadata proxy hop of the baselines and of CFS without
+// client-side resolving (§3.1).
+class ForwardingClient : public MetadataClient {
+ public:
+  ForwardingClient(SimNet* net, NodeId self, NodeId target,
+                   MetadataClient* engine)
+      : net_(net), self_(self), target_(target), engine_(engine) {}
+
+  Status Mkdir(const std::string& path, uint32_t mode) override {
+    return net_->Call(self_, target_, [&] { return engine_->Mkdir(path, mode); });
+  }
+  Status Rmdir(const std::string& path) override {
+    return net_->Call(self_, target_, [&] { return engine_->Rmdir(path); });
+  }
+  Status Create(const std::string& path, uint32_t mode) override {
+    return net_->Call(self_, target_,
+                      [&] { return engine_->Create(path, mode); });
+  }
+  Status Unlink(const std::string& path) override {
+    return net_->Call(self_, target_, [&] { return engine_->Unlink(path); });
+  }
+  StatusOr<FileInfo> Lookup(const std::string& path) override {
+    return net_->Call(self_, target_,
+                      [&]() -> StatusOr<FileInfo> { return engine_->Lookup(path); });
+  }
+  StatusOr<FileInfo> GetAttr(const std::string& path) override {
+    return net_->Call(self_, target_, [&]() -> StatusOr<FileInfo> {
+      return engine_->GetAttr(path);
+    });
+  }
+  Status SetAttr(const std::string& path, const SetAttrSpec& spec) override {
+    return net_->Call(self_, target_,
+                      [&] { return engine_->SetAttr(path, spec); });
+  }
+  StatusOr<std::vector<DirEntry>> ReadDir(const std::string& path) override {
+    return net_->Call(self_, target_,
+                      [&]() -> StatusOr<std::vector<DirEntry>> {
+                        return engine_->ReadDir(path);
+                      });
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return net_->Call(self_, target_, [&] { return engine_->Rename(from, to); });
+  }
+  Status Symlink(const std::string& target,
+                 const std::string& link_path) override {
+    return net_->Call(self_, target_,
+                      [&] { return engine_->Symlink(target, link_path); });
+  }
+  StatusOr<std::string> ReadLink(const std::string& path) override {
+    return net_->Call(self_, target_, [&]() -> StatusOr<std::string> {
+      return engine_->ReadLink(path);
+    });
+  }
+  Status Link(const std::string& existing,
+              const std::string& link_path) override {
+    return net_->Call(self_, target_,
+                      [&] { return engine_->Link(existing, link_path); });
+  }
+  Status Write(const std::string& path, uint64_t offset,
+               const std::string& data) override {
+    return net_->Call(self_, target_,
+                      [&] { return engine_->Write(path, offset, data); });
+  }
+  StatusOr<std::string> Read(const std::string& path, uint64_t offset,
+                             size_t length) override {
+    return net_->Call(self_, target_, [&]() -> StatusOr<std::string> {
+      return engine_->Read(path, offset, length);
+    });
+  }
+
+ private:
+  SimNet* net_;
+  NodeId self_;
+  NodeId target_;
+  MetadataClient* engine_;
 };
 
 // Splits "/a/b/c" into components; rejects empty names and relative paths.

@@ -411,7 +411,6 @@ Status FileStoreNode::WriteBlock(InodeId id, uint64_t index, std::string data,
   cmd.update.key = InodeKey::AttrRecord(id);
   cmd.update.size_delta = static_cast<int64_t>(data.size());
   cmd.update.lww.mtime = mtime_ts;
-  cmd.update.lww.ts = mtime_ts;
   cmd.data = std::move(data);
   return Propose(cmd);
 }

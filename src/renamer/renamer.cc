@@ -235,13 +235,12 @@ StatusOr<CacheInvalidation> Renamer::Rename(const RenameRequest& req) {
   //     retires it later and then loses its unlink to step A restores an
   //     image that already names the new parent. Undone if a later step
   //     fails.
-  auto reparent = [&](InodeId parent, uint64_t stamp, bool must_exist) {
+  auto reparent = [&](InodeId parent, bool must_exist) {
     PrimitiveOp op;
     UpdateSpec upd;
     upd.key = InodeKey::AttrRecord(src->id);
     upd.lww.parent = parent;
-    upd.lww.ctime = stamp;
-    upd.lww.ts = stamp;
+    upd.lww.ctime = ts;
     upd.must_exist = must_exist;
     op.updates.push_back(upd);
     TafDbShard* dir_shard = tafdb_->ShardFor(src->id);
@@ -250,11 +249,11 @@ StatusOr<CacheInvalidation> Renamer::Rename(const RenameRequest& req) {
     });
   };
   if (src_is_dir) {
-    CFS_RETURN_IF_ERROR(reparent(req.dst_parent, ts, /*must_exist=*/true));
+    CFS_RETURN_IF_ERROR(reparent(req.dst_parent, /*must_exist=*/true));
   }
-  // Best effort, with a fresh timestamp so it wins over the reparent.
+  // Best effort; it applies after the reparent, so it wins.
   auto undo_reparent = [&] {
-    if (src_is_dir) (void)reparent(req.src_parent, ts_cache_.Next(), false);
+    if (src_is_dir) (void)reparent(req.src_parent, /*must_exist=*/false);
   };
 
   // 4. Replacing an (empty) directory: atomically verify emptiness and
@@ -327,7 +326,6 @@ StatusOr<CacheInvalidation> Renamer::Rename(const RenameRequest& req) {
     dec.key = InodeKey::AttrRecord(req.src_parent);
     dec.children_delta_auto = true;
     dec.lww.mtime = ts;
-    dec.lww.ts = ts;
     if (src_is_dir) dec.links_delta = -1;
     src_op.updates.push_back(dec);
     src_op.epoch_dir = req.src_parent;
@@ -365,7 +363,6 @@ StatusOr<CacheInvalidation> Renamer::Rename(const RenameRequest& req) {
       inc.key = InodeKey::AttrRecord(req.dst_parent);
       inc.children_delta_auto = true;
       inc.lww.mtime = ts;
-      inc.lww.ts = ts;
       // A directory moving in adds a ".." link — unless it replaces another
       // directory whose link it also removes.
       if (src_is_dir && !dst_exists) inc.links_delta = 1;

@@ -128,7 +128,6 @@ std::string PrimitiveOp::Encode() const {
     if (u.lww.gid) PutVarint32(&out, *u.lww.gid);
     if (u.lww.size) PutVarint64(&out, ZigZag(*u.lww.size));
     if (u.lww.parent) PutVarint64(&out, *u.lww.parent);
-    PutVarint64(&out, u.lww.ts);
   }
   PutVarint64(&out, epoch_dir);
   PutVarint64(&out, epoch_since);
@@ -227,7 +226,6 @@ StatusOr<PrimitiveOp> PrimitiveOp::Decode(std::string_view data) {
       if (!dec.GetVarint64(&u64)) return fail();
       u.lww.parent = u64;
     }
-    if (!dec.GetVarint64(&u.lww.ts)) return fail();
     op.updates.push_back(std::move(u));
   }
   if (!dec.GetVarint64(&op.epoch_dir) || !dec.GetVarint64(&op.epoch_since)) {
@@ -301,38 +299,35 @@ void ApplyUpdateToRecord(const UpdateSpec& upd, int64_t auto_children_delta,
   if (children_delta != 0) merged->Set(InodeRecord::kFieldChildren);
   if (upd.links_delta != 0) merged->Set(InodeRecord::kFieldLinks);
   if (upd.size_delta != 0) merged->Set(InodeRecord::kFieldSize);
-  // Last-writer-wins: only a newer timestamp overwrites.
-  if (!upd.lww.empty() && upd.lww.ts >= merged->lww_ts) {
-    if (upd.lww.mtime) {
-      merged->mtime = *upd.lww.mtime;
-      merged->Set(InodeRecord::kFieldMtime);
-    }
-    if (upd.lww.ctime) {
-      merged->ctime = *upd.lww.ctime;
-      merged->Set(InodeRecord::kFieldCtime);
-    }
-    if (upd.lww.mode) {
-      merged->mode = *upd.lww.mode;
-      merged->Set(InodeRecord::kFieldMode);
-    }
-    if (upd.lww.uid) {
-      merged->uid = *upd.lww.uid;
-      merged->Set(InodeRecord::kFieldUid);
-    }
-    if (upd.lww.gid) {
-      merged->gid = *upd.lww.gid;
-      merged->Set(InodeRecord::kFieldGid);
-    }
-    if (upd.lww.size) {
-      merged->size = *upd.lww.size;
-      merged->Set(InodeRecord::kFieldSize);
-    }
-    if (upd.lww.parent) {
-      merged->parent = *upd.lww.parent;
-      merged->Set(InodeRecord::kFieldParent);
-    }
-    merged->lww_ts = upd.lww.ts;
-    merged->Set(InodeRecord::kFieldLwwTs);
+  // Last-writer-wins in the shard's apply order: the raft log totally
+  // orders every write to this record, so the later-applied write wins.
+  if (upd.lww.mtime) {
+    merged->mtime = *upd.lww.mtime;
+    merged->Set(InodeRecord::kFieldMtime);
+  }
+  if (upd.lww.ctime) {
+    merged->ctime = *upd.lww.ctime;
+    merged->Set(InodeRecord::kFieldCtime);
+  }
+  if (upd.lww.mode) {
+    merged->mode = *upd.lww.mode;
+    merged->Set(InodeRecord::kFieldMode);
+  }
+  if (upd.lww.uid) {
+    merged->uid = *upd.lww.uid;
+    merged->Set(InodeRecord::kFieldUid);
+  }
+  if (upd.lww.gid) {
+    merged->gid = *upd.lww.gid;
+    merged->Set(InodeRecord::kFieldGid);
+  }
+  if (upd.lww.size) {
+    merged->size = *upd.lww.size;
+    merged->Set(InodeRecord::kFieldSize);
+  }
+  if (upd.lww.parent) {
+    merged->parent = *upd.lww.parent;
+    merged->Set(InodeRecord::kFieldParent);
   }
 }
 

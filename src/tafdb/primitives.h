@@ -11,12 +11,18 @@
 //   - numeric fields (children/links/size) carry signed DELTAS, which are
 //     commutative, so concurrent updates of a shared parent directory merge
 //     instead of conflicting ("delta apply");
-//   - clock/permission fields carry absolute values stamped with an oracle
-//     timestamp and are applied last-writer-wins.
+//   - clock/permission fields carry absolute values applied last-writer-
+//     wins in the shard's raft apply order. Each record lives in exactly
+//     one shard, whose log totally orders its writes, and an op that starts
+//     after another has returned also applies after it; no timestamp is
+//     compared. The mtime/ctime values are the writer's oracle timestamps,
+//     so a later-applied write from an engine holding an older timestamp
+//     batch may set an older mtime.
 //
 // The same op structure doubles as the buffered write set of lock-based
-// transactions (used by the baselines and CFS-base), where `puts` carries
-// absolute record images computed under locks.
+// transactions. The baselines' `puts` carry absolute record images computed
+// under locks; CFS-base commits its attribute changes as update specs, so
+// they merge with the Renamer's reparent instead of overwriting it.
 
 #ifndef CFS_TAFDB_PRIMITIVES_H_
 #define CFS_TAFDB_PRIMITIVES_H_
@@ -69,7 +75,7 @@ struct DeleteSpec {
   bool expect_attr_cleanup = false;
 };
 
-// Last-writer-wins absolute assignments, stamped with an oracle timestamp.
+// Last-writer-wins absolute assignments; the later-applied write wins.
 struct LwwAssign {
   std::optional<uint64_t> mtime;
   std::optional<uint64_t> ctime;
@@ -80,11 +86,6 @@ struct LwwAssign {
   // Reparenting (normal-path directory rename, §4.3): moves the directory's
   // ancestor backpointer.
   std::optional<InodeId> parent;
-  uint64_t ts = 0;
-
-  bool empty() const {
-    return !mtime && !ctime && !mode && !uid && !gid && !size && !parent;
-  }
 };
 
 // One record update: commutative deltas + LWW sets.

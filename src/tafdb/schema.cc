@@ -81,11 +81,10 @@ InodeRecord InodeRecord::MakeDirAttr(InodeId self, uint64_t now_ts,
   r.mode = mode;
   r.uid = uid;
   r.gid = gid;
-  r.lww_ts = now_ts;
   r.parent = parent;
   r.present = kFieldId | kFieldType | kFieldChildren | kFieldLinks |
               kFieldSize | kFieldMtime | kFieldCtime | kFieldMode | kFieldUid |
-              kFieldGid | kFieldLwwTs;
+              kFieldGid;
   if (parent != kInvalidInode) r.present |= kFieldParent;
   return r;
 }
@@ -114,7 +113,6 @@ std::string InodeRecord::EncodeValue() const {
   if (Has(kFieldUid)) PutVarint32(&out, uid);
   if (Has(kFieldGid)) PutVarint32(&out, gid);
   if (Has(kFieldSymlink)) PutLengthPrefixed(&out, symlink_target);
-  if (Has(kFieldLwwTs)) PutVarint64(&out, lww_ts);
   if (Has(kFieldParent)) PutVarint64(&out, parent);
   return out;
 }
@@ -170,9 +168,6 @@ StatusOr<InodeRecord> InodeRecord::DecodeValue(const InodeKey& key,
   }
   if (r.Has(InodeRecord::kFieldSymlink)) {
     if (!dec.GetLengthPrefixed(&r.symlink_target)) return fail();
-  }
-  if (r.Has(InodeRecord::kFieldLwwTs)) {
-    if (!dec.GetVarint64(&r.lww_ts)) return fail();
   }
   if (r.Has(InodeRecord::kFieldParent)) {
     if (!dec.GetVarint64(&r.parent)) return fail();

@@ -14,7 +14,9 @@
 // requests single-shard.
 //
 // Values are encoded with a field-presence bitmap; unused fields are absent
-// (the paper's "unused fields set to NULL").
+// (the paper's "unused fields set to NULL"). Records carry no write
+// timestamp: the owning shard's raft log orders last-writer-wins updates
+// (primitives.h).
 
 #ifndef CFS_TAFDB_SCHEMA_H_
 #define CFS_TAFDB_SCHEMA_H_
@@ -92,8 +94,7 @@ struct InodeRecord {
     kFieldUid = 1u << 8,
     kFieldGid = 1u << 9,
     kFieldSymlink = 1u << 10,
-    kFieldLwwTs = 1u << 11,
-    kFieldParent = 1u << 12,
+    kFieldParent = 1u << 11,
   };
   uint32_t present = 0;
 
@@ -108,9 +109,6 @@ struct InodeRecord {
   uint32_t uid = 0;
   uint32_t gid = 0;
   std::string symlink_target;
-  // Timestamp of the last LWW write applied to this record (§4.2
-  // last-writer-wins reconciliation).
-  uint64_t lww_ts = 0;
   // Directory attribute records carry a parent backpointer so the Renamer
   // can walk ancestor chains for orphan-loop detection (§4.3).
   InodeId parent = kInvalidInode;

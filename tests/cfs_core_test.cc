@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -383,11 +384,147 @@ TEST_P(CfsVariantTest, ConcurrentCreatesInSharedDirectory) {
   EXPECT_EQ(entries->size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
+// Last-writer-wins follows the shard's apply order, not the writers'
+// timestamps. Each engine takes its timestamps from its own batch of the
+// oracle, so an engine that started later stamps larger values; its write
+// must still lose to one that applies after it.
+TEST_P(CfsVariantTest, LaterSetAttrWinsAcrossEngines) {
+  ASSERT_TRUE(client_->Mkdir("/d", 0755).ok());
+  // A second engine (a second proxy, in proxy modes), started after the
+  // first one took its batch.
+  auto other = fs_->NewClient();
+  ASSERT_TRUE(other->Create("/d/f", 0644).ok());
+  for (const char* path : {"/d/f", "/d"}) {
+    SetAttrSpec first;
+    first.mode = 0700;
+    ASSERT_TRUE(other->SetAttr(path, first).ok());
+    SetAttrSpec second;
+    second.mode = 0755;
+    ASSERT_TRUE(client_->SetAttr(path, second).ok());
+    for (MetadataClient* reader : {client_.get(), other.get()}) {
+      auto info = reader->GetAttr(path);
+      ASSERT_TRUE(info.ok());
+      EXPECT_EQ(info->mode, 0755u) << path;
+    }
+  }
+}
+
+// A directory move's reparent must land even when the moved directory's
+// record was last written by an engine with a newer timestamp batch than
+// the Renamer's; otherwise the loop check walks a stale backpointer.
+TEST_P(CfsVariantTest, ReparentSurvivesNewerWriterOnMovedDirectory) {
+  for (const char* dir : {"/a", "/b", "/a/x", "/t1", "/t2"}) {
+    ASSERT_TRUE(client_->Mkdir(dir, 0755).ok()) << dir;
+  }
+  // The Renamer takes its timestamp batch here.
+  ASSERT_TRUE(client_->Rename("/t1", "/t2/t1").ok());
+  auto other = fs_->NewClient();
+  ASSERT_TRUE(other->Create("/a/x/f", 0644).ok());
+  ASSERT_TRUE(client_->Rename("/a/x", "/b/x").ok());
+  Status st = client_->Rename("/b", "/b/x/b2");
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.ToString();
+  EXPECT_TRUE(client_->GetAttr("/b/x/f").ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, CfsVariantTest,
                          ::testing::Values(0u, 1u, 2u, 3u),
                          [](const ::testing::TestParamInfo<size_t>& param) {
                            return kVariants[param.param].name;
                          });
+
+// ---------------------------------------------------------------------------
+// Lock-based paths (CFS-base, +new-org).
+
+// A lock-based create or unlink in x locks and reads x's attribute record,
+// but the Renamer moving x does not lock it. The child op must commit its
+// change as an update spec; an image of the record it read would put x's
+// old parent backpointer back.
+TEST(CfsLockBasedTest, ChildOpsDoNotRevertConcurrentReparent) {
+  Cfs fs(SmallCluster(CfsBaseOptions()));
+  ASSERT_TRUE(fs.Start().ok());
+  auto mover = fs.NewClient();
+  auto writer = fs.NewClient();  // the other proxy
+  ASSERT_TRUE(mover->Mkdir("/p", 0755).ok());
+  ASSERT_TRUE(mover->Mkdir("/q", 0755).ok());
+  ASSERT_TRUE(mover->Mkdir("/p/x", 0755).ok());
+  auto p = mover->GetAttr("/p");
+  auto q = mover->GetAttr("/q");
+  auto x = mover->GetAttr("/p/x");
+  ASSERT_TRUE(p.ok() && q.ok() && x.ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> writes{0};
+  std::thread churn([&] {
+    // x moves under this thread's feet: try both locations.
+    for (int i = 0; !done.load(); i++) {
+      std::string name = "/x/f" + std::to_string(i % 8);
+      for (const char* parent : {"/p", "/q"}) {
+        if (writer->Create(parent + name, 0644).ok()) writes++;
+        if (writer->Unlink(parent + name).ok()) writes++;
+      }
+    }
+  });
+  constexpr int kMoves = 3000;
+  int stale = 0;
+  for (int i = 0; i < kMoves; i++) {
+    bool to_q = i % 2 == 0;
+    // No ASSERT in this loop: returning early would leave `churn` unjoined.
+    Status st = mover->Rename(to_q ? "/p/x" : "/q/x", to_q ? "/q/x" : "/p/x");
+    if (!st.ok()) {
+      ADD_FAILURE() << "move " << i << ": " << st.ToString();
+      break;
+    }
+    TafDbShard* shard = fs.tafdb()->ShardFor(x->id);
+    auto attr = shard->Get(InodeKey::AttrRecord(x->id));
+    if (!attr.ok() || attr->parent != (to_q ? q : p)->id) stale++;
+  }
+  done = true;
+  churn.join();
+  EXPECT_EQ(stale, 0) << "of " << kMoves << " moves";
+  EXPECT_GT(writes.load(), 0);
+  mover.reset();
+  writer.reset();
+  fs.Stop();
+}
+
+// Pins the lock-based paths' per-op cost (Fig 4/13): SimNet hops on the
+// calling thread, the client's proxy hop included.
+TEST(CfsLockBasedTest, PerOpHopsArePinned) {
+  struct Expected {
+    const char* name;
+    CfsOptions (*make)();
+    // create, mkdir, setattr file, setattr dir, unlink, rmdir
+    uint64_t hops[6];
+  };
+  const Expected kExpected[] = {
+      {"CfsBase", CfsBaseOptions, {6, 11, 5, 5, 6, 14}},
+      {"NewOrg", CfsNewOrgOptions, {11, 11, 2, 5, 11, 14}},
+  };
+  for (const Expected& e : kExpected) {
+    SCOPED_TRACE(e.name);
+    Cfs fs(SmallCluster(e.make()));
+    ASSERT_TRUE(fs.Start().ok());
+    auto client = fs.NewClient();
+    ASSERT_TRUE(client->Mkdir("/d", 0755).ok());
+    SetAttrSpec chmod;
+    chmod.mode = 0700;
+    const std::function<Status()> ops[] = {
+        [&] { return client->Create("/d/f", 0644); },
+        [&] { return client->Mkdir("/d/s", 0755); },
+        [&] { return client->SetAttr("/d/f", chmod); },
+        [&] { return client->SetAttr("/d/s", chmod); },
+        [&] { return client->Unlink("/d/f"); },
+        [&] { return client->Rmdir("/d/s"); },
+    };
+    for (size_t i = 0; i < 6; i++) {
+      SimNet::ResetThreadHops();
+      ASSERT_TRUE(ops[i]().ok()) << "op " << i;
+      EXPECT_EQ(SimNet::ThreadHops(), e.hops[i]) << "op " << i;
+    }
+    client.reset();
+    fs.Stop();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Full-CFS-specific behaviour: fast path routing, GC crash repair.

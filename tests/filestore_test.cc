@@ -51,23 +51,21 @@ TEST_F(FileStoreTest, SetAttrMergesLwwAndDeltas) {
   FileStoreNode* node = cluster_->NodeFor(id);
   ASSERT_TRUE(node->PutAttr(InodeRecord::MakeFileAttr(id, 10, 0644, 0, 0), "")
                   .ok());
-  UpdateSpec newer;
-  newer.key = InodeKey::AttrRecord(id);
-  newer.links_delta = 1;
-  newer.lww.mode = 0600;
-  newer.lww.ts = 100;
-  ASSERT_TRUE(node->SetAttr(id, newer).ok());
-  UpdateSpec stale;
-  stale.key = InodeKey::AttrRecord(id);
-  stale.links_delta = 1;
-  stale.lww.mode = 0777;
-  stale.lww.ts = 50;  // older than the previous write
-  ASSERT_TRUE(node->SetAttr(id, stale).ok());
+  UpdateSpec first;
+  first.key = InodeKey::AttrRecord(id);
+  first.links_delta = 1;
+  first.lww.mode = 0600;
+  ASSERT_TRUE(node->SetAttr(id, first).ok());
+  UpdateSpec second;
+  second.key = InodeKey::AttrRecord(id);
+  second.links_delta = 1;
+  second.lww.mode = 0777;
+  ASSERT_TRUE(node->SetAttr(id, second).ok());
 
   auto got = node->GetAttr(id);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->links, 3);      // both deltas applied (commutative)
-  EXPECT_EQ(got->mode, 0600u);   // stale LWW write ignored
+  EXPECT_EQ(got->mode, 0777u);   // the later-applied LWW write wins
 }
 
 TEST_F(FileStoreTest, PiggybackedBlockLandsWithAttr) {
@@ -198,7 +196,6 @@ TEST_F(FileStoreTest, CommandCodecRoundTrip) {
   cmd.update.key = InodeKey::AttrRecord(31);
   cmd.update.size_delta = 1000;
   cmd.update.lww.mtime = 5;
-  cmd.update.lww.ts = 5;
   auto decoded = FileStoreCommand::Decode(cmd.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->kind, FileStoreCommand::Kind::kWriteBlock);
@@ -227,7 +224,6 @@ TEST_F(FileStoreTest, SurvivesNodeReplicaFailure) {
   UpdateSpec update;
   update.key = InodeKey::AttrRecord(id);
   update.lww.mode = 0700;
-  update.lww.ts = 99;
   EXPECT_TRUE(node->SetAttr(id, update).ok());
   auto got = node->GetAttr(id);
   ASSERT_TRUE(got.ok());

@@ -9,6 +9,9 @@
 //       directory that actually contains its dentry (rename consistency);
 //   I4  readdir never shows the reserved attribute key.
 //
+// Each invariant's failure message starts with its tag ("I3 /d0/n8"), which
+// scripts/fuzz_stress.sh counts.
+//
 // Runs against full CFS and the lock-based CFS-base configuration with
 // several seeds (TEST_P), in zero-latency mode so thousands of ops fit in
 // a test budget.
@@ -144,11 +147,12 @@ TEST_P(FuzzInvariantsTest, RandomOpsPreserveInvariants) {
     if (!attr.ok()) attr = audit->GetAttr(path);
     ASSERT_TRUE(attr.ok()) << path << ": " << attr.status();
     // I1: counter == fanout.
-    EXPECT_EQ(static_cast<size_t>(attr->children), listing->size()) << path;
+    EXPECT_EQ(static_cast<size_t>(attr->children), listing->size())
+        << "I1 " << path;
     dirs_checked++;
     for (const auto& entry : *listing) {
       // I4: reserved names never leak into listings.
-      EXPECT_NE(entry.name, kAttrKeyStr);
+      EXPECT_NE(entry.name, kAttrKeyStr) << "I4 " << path;
       std::string child_path =
           (path == "/" ? "" : path) + "/" + entry.name;
       // I2: every dentry's attributes resolve. One retry is allowed: a
@@ -161,7 +165,7 @@ TEST_P(FuzzInvariantsTest, RandomOpsPreserveInvariants) {
       }
       if (!child_attr.ok()) {
         auto gc_stats = fs.gc()->stats();
-        ADD_FAILURE() << child_path << ": " << child_attr.status()
+        ADD_FAILURE() << "I2 " << child_path << ": " << child_attr.status()
                       << " id=" << entry.id
                       << " type=" << static_cast<int>(entry.type)
                       << " gc_orphans=" << gc_stats.orphan_attrs_deleted
@@ -175,8 +179,8 @@ TEST_P(FuzzInvariantsTest, RandomOpsPreserveInvariants) {
         auto rec = fs.tafdb()
                        ->ShardFor(entry.id)
                        ->Get(InodeKey::AttrRecord(entry.id));
-        ASSERT_TRUE(rec.ok()) << child_path;
-        EXPECT_EQ(rec->parent, id) << child_path;
+        ASSERT_TRUE(rec.ok()) << "I3 " << child_path;
+        EXPECT_EQ(rec->parent, id) << "I3 " << child_path;
         queue.emplace_back(child_path, entry.id);
       }
     }
@@ -191,9 +195,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzParam{true, 1}, FuzzParam{true, 2},
                       FuzzParam{true, 3}, FuzzParam{false, 1},
                       FuzzParam{false, 2}),
-    [](const ::testing::TestParamInfo<FuzzParam>& info) {
-      return std::string(info.param.primitives ? "FullCfs" : "CfsBase") +
-             "Seed" + std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<FuzzParam>& param) {
+      return std::string(param.param.primitives ? "FullCfs" : "CfsBase") +
+             "Seed" + std::to_string(param.param.seed);
     });
 
 }  // namespace

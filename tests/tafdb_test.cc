@@ -124,7 +124,6 @@ TEST_F(PrimitiveExecTest, InsertWithUpdateCreatesAndBumpsParent) {
   bump.key = InodeKey::AttrRecord(10);
   bump.children_delta = 1;
   bump.lww.mtime = 50;
-  bump.lww.ts = 50;
 
   auto op = PrimitiveOp::InsertWithUpdate(
       InodeRecord::MakeIdRecord(10, "new", 21, InodeType::kFile),
@@ -218,7 +217,6 @@ TEST_F(PrimitiveExecTest, IntraDirRenameToFreshName) {
   upd.key = InodeKey::AttrRecord(10);
   upd.children_delta_auto = true;
   upd.lww.mtime = 60;
-  upd.lww.ts = 60;
   auto op = PrimitiveOp::InsertAndDeleteWithUpdate(moved, {del_a, del_b}, upd,
                                                    {});
   auto result = ExecutePrimitive(op, &kv_);
@@ -301,32 +299,32 @@ TEST_F(PrimitiveExecTest, DeltaApplyIsCommutative) {
   EXPECT_EQ(Children(), start);
 }
 
-TEST_F(PrimitiveExecTest, LastWriterWinsIgnoresStaleTimestamps) {
-  UpdateSpec newer;
-  newer.key = InodeKey::AttrRecord(10);
-  newer.lww.mtime = 100;
-  newer.lww.mode = 0700;
-  newer.lww.ts = 100;
-  UpdateSpec older;
-  older.key = InodeKey::AttrRecord(10);
-  older.lww.mtime = 42;
-  older.lww.mode = 0777;
-  older.lww.ts = 50;  // stale
+TEST_F(PrimitiveExecTest, LaterAppliedLwwWriteWinsAndDeltasMerge) {
+  // The first write carries the larger mtime, as when it comes from an
+  // engine holding a newer oracle batch: apply order decides, not mtime.
+  UpdateSpec first;
+  first.key = InodeKey::AttrRecord(10);
+  first.children_delta = 2;
+  first.lww.mtime = 100;
+  first.lww.mode = 0700;
+  UpdateSpec second;
+  second.key = InodeKey::AttrRecord(10);
+  second.children_delta = -1;
+  second.lww.mtime = 42;
+  second.lww.mode = 0777;
 
-  PrimitiveOp op_newer, op_older;
-  op_newer.updates.push_back(newer);
-  op_older.updates.push_back(older);
-  ASSERT_TRUE(ExecutePrimitive(op_newer, &kv_).status.ok());
-  ASSERT_TRUE(ExecutePrimitive(op_older, &kv_).status.ok());
+  int64_t start = Children();
+  PrimitiveOp op_first, op_second;
+  op_first.updates.push_back(first);
+  op_second.updates.push_back(second);
+  ASSERT_TRUE(ExecutePrimitive(op_first, &kv_).status.ok());
+  ASSERT_TRUE(ExecutePrimitive(op_second, &kv_).status.ok());
 
   auto rec = ReadRecord(kv_, InodeKey::AttrRecord(10));
   ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->mtime, 100u);  // stale write did not clobber
-  EXPECT_EQ(rec->mode, 0700u);
-  EXPECT_EQ(rec->lww_ts, 100u);
-
-  // But the stale op's deltas (if any) would still apply: deltas and LWW
-  // reconcile independently.
+  EXPECT_EQ(rec->mtime, 42u);  // the later-applied write wins
+  EXPECT_EQ(rec->mode, 0777u);
+  EXPECT_EQ(Children(), start + 1);  // both deltas merged
 }
 
 TEST_F(PrimitiveExecTest, FailedCheckLeavesNoPartialState) {
@@ -375,7 +373,6 @@ TEST(PrimitiveCodecTest, OpEncodeDecodeRoundTrip) {
   upd.lww.mtime = 11;
   upd.lww.mode = 0644;
   upd.lww.size = -5;
-  upd.lww.ts = 12;
   op.updates.push_back(upd);
   op.epoch_dir = 5;
 
@@ -398,7 +395,6 @@ TEST(PrimitiveCodecTest, OpEncodeDecodeRoundTrip) {
   EXPECT_FALSE(decoded->updates[0].must_exist);
   EXPECT_EQ(*decoded->updates[0].lww.mtime, 11u);
   EXPECT_EQ(*decoded->updates[0].lww.size, -5);
-  EXPECT_EQ(decoded->updates[0].lww.ts, 12u);
   EXPECT_EQ(decoded->epoch_dir, 5u);
 }
 
@@ -577,7 +573,6 @@ TEST(TafDbShardSmTest, UncoveredAfterNamelessBumpTrimAndRestore) {
   UpdateSpec upd;
   upd.key = InodeKey::AttrRecord(ShardSmHarness::kDir);
   upd.lww.mode = 0700;
-  upd.lww.ts = 5;
   setattr.updates.push_back(upd);
   setattr.epoch_dir = ShardSmHarness::kDir;
   setattr.epoch_since = 1;
@@ -717,7 +712,6 @@ TEST_F(TafDbClusterTest, ConcurrentPrimitivesOnSharedParentAllSucceed) {
         bump.key = InodeKey::AttrRecord(dir);
         bump.children_delta = 1;
         bump.lww.mtime = static_cast<uint64_t>(t * 1000 + i);
-        bump.lww.ts = static_cast<uint64_t>(t * 1000 + i);
         auto op = PrimitiveOp::InsertWithUpdate(
             InodeRecord::MakeIdRecord(dir, name,
                                       1000 + static_cast<InodeId>(t * 100 + i),
