@@ -1,5 +1,5 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks under
-// every table/figure bench — encoding, CRC, memtable/KV ops, primitive
+// every table/figure bench — encoding, CRC, KV ops, primitive
 // execution, lock acquisition, SimNet dispatch, and a raft commit round in
 // zero-latency mode.
 
@@ -63,24 +63,12 @@ void BM_RecordEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordEncodeDecode);
 
-void BM_MemTableAdd(benchmark::State& state) {
-  MemTable mt;
-  uint64_t seq = 0;
-  Rng rng(1);
-  for (auto _ : state) {
-    mt.Add("key" + std::to_string(rng.Uniform(100000)), "value", ++seq,
-           ValueType::kPut);
-  }
-}
-BENCHMARK(BM_MemTableAdd);
-
 void BM_KvStorePutGet(benchmark::State& state) {
   KvStore kv;
-  (void)kv.Open();
   Rng rng(2);
   for (auto _ : state) {
     std::string key = "k" + std::to_string(rng.Uniform(10000));
-    (void)kv.Put(key, "payload", /*sync=*/false);
+    (void)kv.Put(key, "payload");
     benchmark::DoNotOptimize(kv.Get(key));
   }
 }
@@ -88,9 +76,8 @@ BENCHMARK(BM_KvStorePutGet);
 
 void BM_KvStoreScan100(benchmark::State& state) {
   KvStore kv;
-  (void)kv.Open();
   for (int i = 0; i < 1000; i++) {
-    (void)kv.Put("scan" + std::to_string(1000 + i), "v", false);
+    (void)kv.Put("scan" + std::to_string(1000 + i), "v");
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(kv.Scan("scan1100", "scan1200"));
@@ -100,7 +87,6 @@ BENCHMARK(BM_KvStoreScan100);
 
 void BM_ExecutePrimitiveCreate(benchmark::State& state) {
   KvStore kv;
-  (void)kv.Open();
   PrimitiveOp bootstrap;
   bootstrap.inserts.push_back(InodeRecord::MakeDirAttr(1, 1, 0755, 0, 0));
   (void)ExecutePrimitive(bootstrap, &kv);

@@ -49,17 +49,10 @@ PrimitiveResult BaselineEngineBase::ExecOnShard(InodeId kid,
                                                 const PrimitiveOp& op) {
   TraceSpan span(Phase::kShardExec, "exec_on_shard");
   TafDbShard* shard = tafdb_->ShardFor(kid);
-  Status delivered = net_->BeginCall(self_, shard->ServiceNetId());
-  if (!delivered.ok()) {
-    PrimitiveResult r;
-    r.status = delivered;
-    return r;
-  }
-  // Direct-call site: attribute the shard-side execution to the
-  // destination like SimNet::Call would.
-  trace::NodeScope node(net_->TraceNodeOf(shard->ServiceNetId()));
-  trace::ScopedSpan exec(trace::Category::kExec, "primitive");
-  return shard->ExecutePrimitive(op);
+  return net_->Call(self_, shard->ServiceNetId(), [&] {
+    trace::ScopedSpan exec(trace::Category::kExec, "primitive");
+    return shard->ExecutePrimitive(op);
+  });
 }
 
 StatusOr<std::vector<InodeRecord>> BaselineEngineBase::ScanDirRows(

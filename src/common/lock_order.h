@@ -57,12 +57,13 @@
 //     kAllowedAcrossRpc requires a justification string and marks classes
 //     that *intentionally* model baseline behaviour (the lock manager's
 //     logical row locks, the renamer's directory locks).
-//   - SimNet::BeginCall invokes OnRpcEdge with the call's edge (source and
-//     destination node names) on the calling thread, for every slot of a
-//     FanOut round too, wherever its handler then runs. Every held entry's RPC count is
-//     bumped; a held kNeverAcrossRpc class raises a kRpcUnderLock violation
-//     naming the lock class and the RPC edge (abort by default, counted
-//     when enforcement is off or a recording handler is installed).
+//   - SimNet::Call and every slot of a SimNet::FanOut round invoke
+//     OnRpcEdge with the call's edge (source and destination node names)
+//     on the calling thread, wherever the handler then runs. Every held
+//     entry's RPC count is bumped; a held kNeverAcrossRpc class raises a
+//     kRpcUnderLock violation naming the lock class and the RPC edge (abort
+//     by default, counted when enforcement is off or a recording handler is
+//     installed).
 //   - Releases feed per-class hold-span accounting: hold-time totals and
 //     maxima split by "number of RPCs issued under the lock"
 //     (0 / 1 / 2-7 / 8+), so scripts/cs_scope_report.sh can reproduce the

@@ -204,17 +204,10 @@ void CfsEngine::UnlockRows(TafDbShard* shard, TxnId txn, InodeId dir,
 PrimitiveResult CfsEngine::ExecOnShard(InodeId kid, const PrimitiveOp& op) {
   TraceSpan span(Phase::kShardExec, "exec_on_shard");
   TafDbShard* shard = fs_->tafdb()->ShardFor(kid);
-  Status delivered = fs_->net()->BeginCall(self_, shard->ServiceNetId());
-  if (!delivered.ok()) {
-    PrimitiveResult r;
-    r.status = delivered;
-    return r;
-  }
-  // Direct-call site (no SimNet::Call wrapper): attribute the shard-side
-  // execution to the destination like Call() would.
-  trace::NodeScope node(fs_->net()->TraceNodeOf(shard->ServiceNetId()));
-  trace::ScopedSpan exec(trace::Category::kExec, "primitive");
-  return shard->ExecutePrimitive(op);
+  return fs_->net()->Call(self_, shard->ServiceNetId(), [&] {
+    trace::ScopedSpan exec(trace::Category::kExec, "primitive");
+    return shard->ExecutePrimitive(op);
+  });
 }
 
 PrimitiveResult CfsEngine::ExecDirChange(InodeId dir,

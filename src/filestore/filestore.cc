@@ -91,10 +91,6 @@ StatusOr<FileStoreCommand> FileStoreCommand::Decode(std::string_view raw) {
   return cmd;
 }
 
-FileStoreSm::FileStoreSm(KvOptions kv_options) : kv_(std::move(kv_options)) {
-  (void)kv_.Open();
-}
-
 PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
   PrimitiveResult result;
   switch (cmd.kind) {
@@ -104,11 +100,11 @@ PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
       if (!cmd.data.empty()) {
         batch.Put(BlockKey(cmd.id, 0), cmd.data);  // piggybacked first block
       }
-      result.status = kv_.Write(batch, /*sync=*/false);
+      result.status = kv_.Write(batch);
       break;
     }
     case FileStoreCommand::Kind::kDeleteAttr:
-      result.status = kv_.Delete(AttrKey(cmd.id), /*sync=*/false);
+      result.status = kv_.Delete(AttrKey(cmd.id));
       break;
     case FileStoreCommand::Kind::kSetAttr: {
       auto value = kv_.Get(AttrKey(cmd.id));
@@ -122,8 +118,7 @@ PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
         break;
       }
       ApplyUpdateToRecord(cmd.update, 0, &rec.value());
-      result.status =
-          kv_.Put(AttrKey(cmd.id), rec->EncodeValue(), /*sync=*/false);
+      result.status = kv_.Put(AttrKey(cmd.id), rec->EncodeValue());
       break;
     }
     case FileStoreCommand::Kind::kWriteBlock: {
@@ -143,7 +138,7 @@ PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
         ApplyUpdateToRecord(cmd.update, 0, &rec.value());
         batch.Put(AttrKey(cmd.id), rec->EncodeValue());
       }
-      result.status = kv_.Write(batch, /*sync=*/false);
+      result.status = kv_.Write(batch);
       break;
     }
     case FileStoreCommand::Kind::kUnref: {
@@ -159,8 +154,7 @@ PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
       }
       rec->links -= 1;
       if (rec->links > 0) {
-        result.status =
-            kv_.Put(AttrKey(cmd.id), rec->EncodeValue(), /*sync=*/false);
+        result.status = kv_.Put(AttrKey(cmd.id), rec->EncodeValue());
         break;
       }
       // Last link gone: reclaim the attribute and all blocks.
@@ -173,7 +167,7 @@ PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
         batch.Delete(key);
         result.deleted++;
       }
-      result.status = kv_.Write(batch, /*sync=*/false);
+      result.status = kv_.Write(batch);
       break;
     }
     case FileStoreCommand::Kind::kDeleteFile: {
@@ -186,7 +180,7 @@ PrimitiveResult FileStoreSm::ApplyCommand(const FileStoreCommand& cmd) {
         batch.Delete(key);
         result.deleted++;
       }
-      result.status = kv_.Write(batch, /*sync=*/false);
+      result.status = kv_.Write(batch);
       break;
     }
     default:
@@ -284,12 +278,8 @@ Status FileStoreSm::Restore(std::string_view state) {
       return Status::Corruption("snapshot row truncated");
     }
     batch.Put(key, value);
-    if (batch.size() >= 1024) {
-      CFS_RETURN_IF_ERROR(kv_.Write(batch, /*sync=*/false));
-      batch.Clear();
-    }
   }
-  CFS_RETURN_IF_ERROR(kv_.Write(batch, /*sync=*/false));
+  CFS_RETURN_IF_ERROR(kv_.Write(batch));
   staged_.clear();
   if (!dec.GetVarint64(&staged)) return Status::Corruption("snapshot staged");
   for (uint64_t i = 0; i < staged; i++) {
@@ -324,11 +314,9 @@ FileStoreNode::FileStoreNode(SimNet* net, std::string name,
       name_(std::move(name)),
       options_(options),
       read_gate_(options.read_concurrency, options.read_processing_us) {
-  KvOptions kv = options_.kv;
-  kv.use_wal = false;  // raft log provides durability
   group_ = std::make_unique<RaftGroup>(
       net_, name_, std::move(servers),
-      [kv](ReplicaId) { return std::make_unique<FileStoreSm>(kv); },
+      [](ReplicaId) { return std::make_unique<FileStoreSm>(); },
       options_.raft);
 }
 

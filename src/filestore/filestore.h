@@ -72,8 +72,6 @@ struct FileStoreCommand {
 
 class FileStoreSm : public StateMachine {
  public:
-  explicit FileStoreSm(KvOptions kv_options);
-
   std::string Apply(LogIndex index, std::string_view command) override;
   std::string Snapshot() override;
   Status Restore(std::string_view state) override;
@@ -99,7 +97,6 @@ struct FileStoreOptions {
   size_t replicas = 3;
   size_t block_size = 64 * 1024;
   RaftOptions raft;
-  KvOptions kv;
   // Server-side processing cost per attribute read, modelling the light
   // RocksDB key-value path (paper §4.1: "manipulating file attributes
   // through FileStore is cheaper than doing so in TafDB"). Charged in both

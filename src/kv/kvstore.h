@@ -1,39 +1,26 @@
-// KvStore — the embedded ordered key-value engine used by TafDB shard
-// replicas and FileStore nodes (the paper uses RocksDB for the latter).
+// KvStore — the ordered key-value map each TafDB shard replica and each
+// FileStore node applies its raft log into (the paper uses RocksDB for the
+// latter). Raft's log and WAL are the durability and replay path, so the
+// store is one in-memory ordered map; storage-engine internals are not
+// modelled (DESIGN.md §1).
 //
-// LSM shape: WAL -> active memtable -> flushed sorted runs -> tiered
-// compaction into one run. Writes are atomic batches. Reads and range scans
-// can be pinned to a snapshot sequence. Recovery replays the WAL.
+// A write batch is applied under the exclusive lock, so a reader sees all
+// of a batch or none of it.
 
 #ifndef CFS_KV_KVSTORE_H_
 #define CFS_KV_KVSTORE_H_
 
-#include <atomic>
-#include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
-#include "src/kv/memtable.h"
-#include "src/kv/sorted_run.h"
-#include "src/wal/wal.h"
 
 namespace cfs {
-
-struct KvOptions {
-  size_t memtable_flush_bytes = 4 << 20;
-  size_t max_runs_before_compaction = 4;
-  WalOptions wal;
-  // When false (raft-applied stores), writes skip the engine's own WAL —
-  // raft's log already provides durability and replay.
-  bool use_wal = true;
-};
 
 class WriteBatch {
  public:
@@ -43,15 +30,12 @@ class WriteBatch {
   bool empty() const { return ops_.empty(); }
   size_t size() const { return ops_.size(); }
 
+  // In application order; a missing value deletes the key.
   struct Op {
-    ValueType type;
     std::string key;
-    std::string value;
+    std::optional<std::string> value;
   };
   const std::vector<Op>& ops() const { return ops_; }
-
-  std::string Encode() const;
-  static StatusOr<WriteBatch> Decode(std::string_view data);
 
  private:
   std::vector<Op> ops_;
@@ -59,80 +43,24 @@ class WriteBatch {
 
 class KvStore {
  public:
-  explicit KvStore(KvOptions options = {});
+  Status Write(const WriteBatch& batch);
+  Status Put(std::string_view key, std::string_view value);
+  Status Delete(std::string_view key);
 
-  // Opens the WAL and replays it (recovery).
-  Status Open();
+  StatusOr<std::string> Get(std::string_view key) const;
+  bool Contains(std::string_view key) const;
 
-  Status Write(const WriteBatch& batch, bool sync = true);
-  Status Put(std::string_view key, std::string_view value, bool sync = true);
-  Status Delete(std::string_view key, bool sync = true);
-
-  // snapshot_seq == UINT64_MAX reads the latest state.
-  StatusOr<std::string> Get(std::string_view key,
-                            uint64_t snapshot_seq = UINT64_MAX) const;
-  bool Contains(std::string_view key,
-                uint64_t snapshot_seq = UINT64_MAX) const;
-
-  // Collects live (non-deleted) key/value pairs with key in [start, end),
-  // at most `limit` (0 = unlimited).
+  // Live key/value pairs with key in [start, end) in key order, at most
+  // `limit` (0 = unlimited). An empty `end` is unbounded.
   std::vector<std::pair<std::string, std::string>> Scan(
-      std::string_view start, std::string_view end, size_t limit = 0,
-      uint64_t snapshot_seq = UINT64_MAX) const;
+      std::string_view start, std::string_view end, size_t limit = 0) const;
 
-  // Number of live keys in [start, end) — used for directory fanout checks.
-  size_t CountRange(std::string_view start, std::string_view end,
-                    uint64_t snapshot_seq = UINT64_MAX) const;
-
-  // Snapshot management: a snapshot pins every version at or below its
-  // sequence against compaction until released.
-  uint64_t GetSnapshot();
-  void ReleaseSnapshot(uint64_t seq);
-
-  // Maintenance.
-  Status Flush();        // active memtable -> sorted run
-  Status Compact();      // merge all runs into one
-  // Drops every key and version (snapshot restore support). The engine WAL
-  // is untouched; raft-applied stores run with use_wal=false.
+  // Drops every key (snapshot restore).
   void Clear();
-  void MaybeCompactLocked();
-
-  uint64_t LastSequence() const;
-  Wal* wal() { return &wal_; }
-
-  struct Stats {
-    uint64_t puts = 0;
-    uint64_t deletes = 0;
-    uint64_t gets = 0;
-    uint64_t scans = 0;
-    uint64_t flushes = 0;
-    uint64_t compactions = 0;
-  };
-  Stats stats() const;
 
  private:
-  Status WriteLocked(const WriteBatch& batch, bool sync) REQUIRES(write_mu_);
-  uint64_t OldestSnapshotLocked() const;
-
-  KvOptions options_;  // tsa-coverage: allow(immutable after construction)
-  Wal wal_;  // tsa-coverage: allow(internally synchronized)
-
-  // Writer lock is the outermost KV lock: held across the WAL append and
-  // the structure-list update, so it ranks below kv.version and wal.log.
-  Mutex write_mu_{"kv.write", 64};
-  // Guards the structure lists (active/immutable/runs pointers).
-  mutable SharedMutex version_mu_{"kv.version", 65};
-  std::shared_ptr<MemTable> active_ GUARDED_BY(version_mu_);
-  std::vector<std::shared_ptr<MemTable>> immutable_ GUARDED_BY(version_mu_);
-  // Newest first.
-  std::vector<std::shared_ptr<SortedRun>> runs_ GUARDED_BY(version_mu_);
-
-  std::atomic<uint64_t> seq_{0};
-  mutable Mutex snapshot_mu_{"kv.snapshot", 66};
-  std::multiset<uint64_t> snapshots_ GUARDED_BY(snapshot_mu_);
-
-  mutable Mutex stats_mu_{"kv.stats", 67};
-  mutable Stats stats_ GUARDED_BY(stats_mu_);
+  mutable SharedMutex mu_{"kv.map", 64};
+  std::map<std::string, std::string, std::less<>> map_ GUARDED_BY(mu_);
 };
 
 }  // namespace cfs

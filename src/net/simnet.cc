@@ -98,7 +98,13 @@ void SimNet::HealAll() {
   has_faults_.store(false);
 }
 
-Status SimNet::BeginCall(NodeId from, NodeId to, bool inject_latency) {
+Status SimNet::BeginCall(NodeId from, NodeId to) {
+  Status delivery = CheckDelivery(from, to);
+  if (delivery.ok()) CountHop(from, to, InjectLatency(from, to));
+  return delivery;
+}
+
+Status SimNet::CheckDelivery(NodeId from, NodeId to) {
   if (has_faults_.load(std::memory_order_acquire)) {
     MutexLock lock(mu_);
     CFS_SHARED_READ(down_nodes_, mu_);
@@ -122,7 +128,10 @@ Status SimNet::BeginCall(NodeId from, NodeId to, bool inject_latency) {
   // Preemption point for schedule fuzzing: an RPC edge is where a task's
   // timing slides against its peers (DESIGN.md §12).
   simtime::FuzzPoint(simtime::FuzzKind::kRpcEdge);
-  int64_t injected_us = inject_latency ? InjectLatency(from, to) : 0;
+  return Status::Ok();
+}
+
+void SimNet::CountHop(NodeId from, NodeId to, int64_t injected_us) {
   total_calls_.fetch_add(1, std::memory_order_relaxed);
   if (injected_us > 0) {
     total_injected_us_.fetch_add(injected_us, std::memory_order_relaxed);
@@ -141,7 +150,6 @@ Status SimNet::BeginCall(NodeId from, NodeId to, bool inject_latency) {
     edge.calls++;
     edge.injected_us += injected_us;
   }
-  return Status::Ok();
 }
 
 namespace {
@@ -166,11 +174,13 @@ std::vector<Status> SimNet::RunRound(NodeId from,
   std::vector<Status> delivery;
   delivery.reserve(dests.size());
   for (size_t i = 0; i < dests.size(); i++) {
+    delivery.push_back(CheckDelivery(from, dests[i]));
+    if (!delivery.back().ok()) continue;
     // The round completes when its slowest call does: only the first
     // delivered call charges the round trip.
-    delivery.push_back(BeginCall(from, dests[i],
-                                 /*inject_latency=*/round->slots.empty()));
-    if (delivery.back().ok()) round->slots.push_back(i);
+    CountHop(from, dests[i],
+             round->slots.empty() ? InjectLatency(from, dests[i]) : 0);
+    round->slots.push_back(i);
   }
   round->run = [this, &dests, &run](size_t i) {
     trace::NodeScope scope(nodes_[dests[i]].trace_node);

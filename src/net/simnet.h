@@ -105,13 +105,6 @@ class SimNet {
   void SetPartitioned(NodeId a, NodeId b, bool partitioned);
   void HealAll();
 
-  // Performs delivery checks and latency injection for one round trip.
-  // `inject_latency=false` still does fault checks and hop/edge accounting
-  // but charges zero latency — for serialized fan-outs that model one
-  // concurrent round and already charged the round trip on another call
-  // (cf. FanOut; used by inline raft replication).
-  Status BeginCall(NodeId from, NodeId to, bool inject_latency = true);
-
   // Invokes `fn` on the destination as one RPC round trip. If delivery
   // fails, returns the delivery error (fn's return type must be
   // constructible from Status: Status or StatusOr<T>). The handler runs on
@@ -119,9 +112,8 @@ class SimNet {
   // spans it emits are attributed to the destination node — that is how a
   // causal trace "propagates" across SimNet (cf. src/common/trace_event.h).
   template <typename Fn>
-  auto Call(NodeId from, NodeId to, Fn&& fn, bool inject_latency = true)
-      -> decltype(fn()) {
-    Status delivery = BeginCall(from, to, inject_latency);
+  auto Call(NodeId from, NodeId to, Fn&& fn) -> decltype(fn()) {
+    Status delivery = BeginCall(from, to);
     if (!delivery.ok()) return delivery;
     trace::NodeScope scope(TraceNodeOf(to));
     return std::forward<Fn>(fn)();
@@ -169,8 +161,7 @@ class SimNet {
   static uint64_t ThreadHops();
 
   // The destination's interned trace-node id (TraceCollector::InternNode),
-  // for attributing spans at direct-BeginCall sites that invoke the
-  // destination object without going through Call().
+  // the node Call and FanOut attribute a handler's spans to.
   uint32_t TraceNodeOf(NodeId node) const;
 
   const NetOptions& options() const { return options_; }
@@ -186,8 +177,17 @@ class SimNet {
     std::unique_ptr<std::atomic<uint64_t>> calls;
   };
 
-  // FanOut's untyped core: delivers and charges every slot, runs `run(i)`
-  // for each delivered one, and returns the per-slot delivery statuses.
+  // One round trip: CheckDelivery, then CountHop with the injected latency.
+  Status BeginCall(NodeId from, NodeId to);
+  // Fault checks (node down, partition), then the scope audit and the
+  // schedule-fuzz preemption point for the edge.
+  Status CheckDelivery(NodeId from, NodeId to);
+  // Hop/edge accounting for a delivered call charged `injected_us`.
+  void CountHop(NodeId from, NodeId to, int64_t injected_us);
+
+  // FanOut's untyped core: delivers and counts every slot, charges the
+  // round trip once, runs `run(i)` for each delivered slot, and returns the
+  // per-slot delivery statuses.
   std::vector<Status> RunRound(NodeId from, const std::vector<NodeId>& dests,
                                const std::function<void(size_t)>& run);
 

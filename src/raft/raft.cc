@@ -311,66 +311,40 @@ StatusOr<std::string> RaftNode::ProposeInline(std::string command) {
 
 void RaftNode::ReplicateRoundInline() {
   std::vector<RaftPeer> peers;
+  std::vector<size_t> slots;  // peer index per fan-out slot
+  std::vector<NodeId> dests;
+  std::vector<AppendRequest> reqs;
+  LogIndex sending_up_to = 0;
   {
     MutexLock lock(mu_);
     if (!running_.load() || role_ != RaftRole::kLeader) return;
     peers = peers_;
-  }
-  // The serialized fan-out models one concurrent round (all peers appended
-  // in parallel, the leader joins the slowest): only the first delivered
-  // call charges injected latency, like SimNet::FanOut.
-  bool latency_charged = false;
-  for (size_t i = 0; i < peers.size(); i++) {
-    AppendRequest req;
-    LogIndex sending_up_to = 0;
-    {
-      MutexLock lock(mu_);
-      if (!running_.load() || role_ != RaftRole::kLeader) return;
+    for (size_t i = 0; i < peers.size(); i++) {
       // Peers lagging behind a compacted prefix need snapshot shipping,
       // which stays a replicator-thread feature; unreachable here because
       // inline mode never runs with compaction-lagged peers (no faults).
       if (next_index_[i] <= snapshot_index_) continue;
-      req.term = term_;
-      req.leader = id_;
-      req.prev_log_index = next_index_[i] - 1;
-      req.prev_log_term =
-          req.prev_log_index == 0 ? 0 : TermAtLocked(req.prev_log_index);
-      LogIndex last = std::min<LogIndex>(
-          LastIndexLocked(), req.prev_log_index + options_.max_batch_entries);
-      for (LogIndex j = next_index_[i]; j <= last; j++) {
-        req.entries.push_back(EntryAtLocked(j));
-      }
-      req.leader_commit = commit_index_;
-      sending_up_to = last;
+      reqs.emplace_back();
+      sending_up_to =
+          std::max(sending_up_to, BuildAppendLocked(i, &reqs.back()));
+      slots.push_back(i);
+      dests.push_back(peers[i].net);
     }
-    // Leader durability before the entries can count toward a majority.
-    // mu_ is released around the persist and the peer RPC, exactly like
-    // ReplicatorLoop (raft.node must never be held across an RPC edge).
-    if (sending_up_to > 0) {
-      PersistEntriesUpTo(sending_up_to);
-    }
-    Status delivered = net_->BeginCall(net_id_, peers[i].net,
-                                       /*inject_latency=*/!latency_charged);
-    if (!delivered.ok()) continue;
-    latency_charged = true;
-    AppendReply reply = peers[i].node->HandleAppendEntries(req);
-
-    MutexLock lock(mu_);
-    if (!running_.load() || role_ != RaftRole::kLeader || term_ != req.term) {
-      return;
-    }
-    if (reply.term > term_) {
-      BecomeFollowerLocked(reply.term, /*persist=*/true);
-      return;
-    }
-    if (reply.success) {
-      match_index_[i] = std::max(match_index_[i], reply.match_index);
-      next_index_[i] = match_index_[i] + 1;
-      AdvanceCommitLocked();
-    } else {
-      next_index_[i] = std::max<LogIndex>(
-          1, std::min<LogIndex>(reply.conflict_hint, log_.size() + 1));
-    }
+  }
+  // Leader durability before the entries can count toward a majority.
+  // mu_ is released around the persist and the round, exactly like
+  // ReplicatorLoop (raft.node must never be held across an RPC edge).
+  if (sending_up_to > 0) {
+    PersistEntriesUpTo(sending_up_to);
+  }
+  std::vector<StatusOr<AppendReply>> replies =
+      net_->FanOut(net_id_, dests, [&](size_t k) -> StatusOr<AppendReply> {
+        return peers[slots[k]].node->HandleAppendEntries(reqs[k]);
+      });
+  MutexLock lock(mu_);
+  if (!running_.load()) return;
+  for (size_t k = 0; k < slots.size(); k++) {
+    if (replies[k].ok()) OnAppendReplyLocked(slots[k], reqs[k], *replies[k]);
   }
 }
 
@@ -484,11 +458,11 @@ void RaftNode::ReplicatorLoop(size_t peer_index) {
         snap.last_included_term = snapshot_term_;
         snap.state = last_snapshot_state_;
         lock.Unlock();
-        SnapshotReply snap_reply;
-        Status delivered = net_->BeginCall(net_id_, peer.net);
-        if (delivered.ok()) {
-          snap_reply = peer.node->HandleInstallSnapshot(snap);
-        } else {
+        StatusOr<SnapshotReply> snap_reply = net_->Call(
+            net_id_, peer.net, [&]() -> StatusOr<SnapshotReply> {
+              return peer.node->HandleInstallSnapshot(snap);
+            });
+        if (!snap_reply.ok()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           continue;
         }
@@ -497,11 +471,11 @@ void RaftNode::ReplicatorLoop(size_t peer_index) {
             term_ != snap.term) {
           continue;
         }
-        if (snap_reply.term > term_) {
-          BecomeFollowerLocked(snap_reply.term, /*persist=*/true);
+        if (snap_reply->term > term_) {
+          BecomeFollowerLocked(snap_reply->term, /*persist=*/true);
           continue;
         }
-        if (snap_reply.success) {
+        if (snap_reply->success) {
           match_index_[peer_index] =
               std::max(match_index_[peer_index], snap.last_included_index);
           next_index_[peer_index] = match_index_[peer_index] + 1;
@@ -510,18 +484,7 @@ void RaftNode::ReplicatorLoop(size_t peer_index) {
         continue;
       }
 
-      req.term = term_;
-      req.leader = id_;
-      req.prev_log_index = next_index_[peer_index] - 1;
-      req.prev_log_term =
-          req.prev_log_index == 0 ? 0 : TermAtLocked(req.prev_log_index);
-      LogIndex last = std::min<LogIndex>(
-          LastIndexLocked(), req.prev_log_index + options_.max_batch_entries);
-      for (LogIndex i = next_index_[peer_index]; i <= last; i++) {
-        req.entries.push_back(EntryAtLocked(i));
-      }
-      req.leader_commit = commit_index_;
-      sending_up_to = last;
+      sending_up_to = BuildAppendLocked(peer_index, &req);
     }
 
     // Leader durability before the entries can count toward a majority.
@@ -529,11 +492,11 @@ void RaftNode::ReplicatorLoop(size_t peer_index) {
       PersistEntriesUpTo(sending_up_to);
     }
 
-    AppendReply reply;
-    Status delivered = net_->BeginCall(net_id_, peer.net);
-    if (delivered.ok()) {
-      reply = peer.node->HandleAppendEntries(req);
-    } else {
+    StatusOr<AppendReply> reply =
+        net_->Call(net_id_, peer.net, [&]() -> StatusOr<AppendReply> {
+          return peer.node->HandleAppendEntries(req);
+        });
+    if (!reply.ok()) {
       // Peer unreachable; back off briefly so a downed peer does not spin
       // this replicator hot.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -541,24 +504,40 @@ void RaftNode::ReplicatorLoop(size_t peer_index) {
     }
 
     MutexLock lock(mu_);
-    if (!replicators_should_run_ || role_ != RaftRole::kLeader ||
-        term_ != req.term) {
-      continue;
-    }
-    if (reply.term > term_) {
-      BecomeFollowerLocked(reply.term, /*persist=*/true);
-      continue;
-    }
-    if (reply.success) {
-      match_index_[peer_index] =
-          std::max(match_index_[peer_index], reply.match_index);
-      next_index_[peer_index] = match_index_[peer_index] + 1;
-      AdvanceCommitLocked();
-    } else {
-      next_index_[peer_index] =
-          std::max<LogIndex>(1, std::min<LogIndex>(reply.conflict_hint,
-                                                   log_.size() + 1));
-    }
+    if (replicators_should_run_) OnAppendReplyLocked(peer_index, req, *reply);
+  }
+}
+
+LogIndex RaftNode::BuildAppendLocked(size_t peer_index, AppendRequest* req) {
+  req->term = term_;
+  req->leader = id_;
+  req->prev_log_index = next_index_[peer_index] - 1;
+  req->prev_log_term =
+      req->prev_log_index == 0 ? 0 : TermAtLocked(req->prev_log_index);
+  LogIndex last = std::min<LogIndex>(
+      LastIndexLocked(), req->prev_log_index + options_.max_batch_entries);
+  for (LogIndex i = next_index_[peer_index]; i <= last; i++) {
+    req->entries.push_back(EntryAtLocked(i));
+  }
+  req->leader_commit = commit_index_;
+  return last;
+}
+
+void RaftNode::OnAppendReplyLocked(size_t peer_index, const AppendRequest& req,
+                                   const AppendReply& reply) {
+  if (role_ != RaftRole::kLeader || term_ != req.term) return;
+  if (reply.term > term_) {
+    BecomeFollowerLocked(reply.term, /*persist=*/true);
+    return;
+  }
+  if (reply.success) {
+    match_index_[peer_index] =
+        std::max(match_index_[peer_index], reply.match_index);
+    next_index_[peer_index] = match_index_[peer_index] + 1;
+    AdvanceCommitLocked();
+  } else {
+    next_index_[peer_index] = std::max<LogIndex>(
+        1, std::min<LogIndex>(reply.conflict_hint, log_.size() + 1));
   }
 }
 
@@ -792,16 +771,18 @@ void RaftNode::StartElection() {
 
   size_t votes = 1;  // self
   for (const auto& peer : peers) {
-    Status delivered = net_->BeginCall(net_id_, peer.net);
-    if (!delivered.ok()) continue;
-    VoteReply reply = peer.node->HandleRequestVote(req);
+    StatusOr<VoteReply> reply =
+        net_->Call(net_id_, peer.net, [&]() -> StatusOr<VoteReply> {
+          return peer.node->HandleRequestVote(req);
+        });
+    if (!reply.ok()) continue;
     MutexLock lock(mu_);
-    if (reply.term > term_) {
-      BecomeFollowerLocked(reply.term, /*persist=*/true);
+    if (reply->term > term_) {
+      BecomeFollowerLocked(reply->term, /*persist=*/true);
       return;
     }
     if (role_ != RaftRole::kCandidate || term_ != req.term) return;
-    if (reply.granted) votes++;
+    if (reply->granted) votes++;
     if (votes * 2 > peers.size() + 1) {
       BecomeLeaderLocked();
       return;

@@ -187,10 +187,9 @@ class RaftNode {
   // thread's round.
   StatusOr<std::string> ProposeInline(std::string command);
 
-  // One synchronous replication round: sends AppendEntries to every peer,
-  // advancing match/commit/apply. The serialized fan-out models one
-  // concurrent round, so only the first delivered peer call charges
-  // injected latency (cf. SimNet::FanOut). Leader only; no-op otherwise.
+  // One synchronous replication round: sends AppendEntries to every peer
+  // as one SimNet::FanOut round, then advances match/commit/apply from the
+  // replies. Leader only; no-op otherwise.
   void ReplicateRoundInline();
 
   // Inline-mode bootstrap: immediately starts (and, with all peers up,
@@ -251,6 +250,15 @@ class RaftNode {
   void TruncateFromLocked(LogIndex from) REQUIRES(mu_);
 
   void ReplicatorLoop(size_t peer_index);
+  // Fills `req` with the AppendEntries for one peer (from its next_index_)
+  // and returns the last log index it carries. Shared by ReplicatorLoop
+  // and ReplicateRoundInline, as is OnAppendReplyLocked, which applies the
+  // peer's reply unless leadership or the term changed since `req` was
+  // built.
+  LogIndex BuildAppendLocked(size_t peer_index, AppendRequest* req)
+      REQUIRES(mu_);
+  void OnAppendReplyLocked(size_t peer_index, const AppendRequest& req,
+                           const AppendReply& reply) REQUIRES(mu_);
   // --- log-offset helpers (compaction); require mu_ held ---
   LogIndex LastIndexLocked() const REQUIRES(mu_) {
     return snapshot_index_ + log_.size();
@@ -282,7 +290,7 @@ class RaftNode {
 
   // Held across sm_->Apply (which may take shard/kv/wal locks) and across
   // WAL persists, so raft.node ranks below all of those; never held across
-  // a peer RPC (replicators and elections drop it around BeginCall).
+  // a peer RPC (replicators and elections drop it around SimNet::Call).
   mutable Mutex mu_{"raft.node", 60};
   // Serializes PersistEntriesUpTo's WAL appends so they land, and publish
   // durable_index_, in log order. Held across the append (and its fsync),

@@ -270,18 +270,12 @@ StatusOr<CacheInvalidation> Renamer::Rename(const RenameRequest& req) {
     del_attr.key = InodeKey::AttrRecord(dst->id);
     retire.deletes.push_back(del_attr);
     TafDbShard* dir_shard = tafdb_->ShardFor(dst->id);
-    PrimitiveResult result;
-    Status delivered = net_->BeginCall(self, dir_shard->ServiceNetId());
-    if (!delivered.ok()) {
-      undo_reparent();
-      return delivered;
-    }
-    // Direct-call site: attribute the retire primitive to the shard like
-    // SimNet::Call would.
-    trace::NodeScope node(net_->TraceNodeOf(dir_shard->ServiceNetId()));
-    trace::ScopedSpan exec(trace::Category::kExec, "retire_dst");
-    result = dir_shard->ExecutePrimitive(retire);
-    if (!result.status.ok()) {  // kNotEmpty and friends
+    PrimitiveResult result =
+        net_->Call(self, dir_shard->ServiceNetId(), [&] {
+          trace::ScopedSpan exec(trace::Category::kExec, "retire_dst");
+          return dir_shard->ExecutePrimitive(retire);
+        });
+    if (!result.status.ok()) {  // delivery errors, kNotEmpty and friends
       undo_reparent();
       return result.status;
     }

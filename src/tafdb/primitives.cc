@@ -461,9 +461,8 @@ PrimitiveResult ExecutePrimitive(const PrimitiveOp& op, KvStore* kv) {
   for (const auto& [encoded_key, merged] : resolved) {
     batch.Put(encoded_key, merged.EncodeValue());
   }
-  // Durability is provided by the raft log that carried this command, so
-  // the engine-local write is unsynced.
-  result.status = kv->Write(batch, /*sync=*/false);
+  // Durability is provided by the raft log that carried this command.
+  result.status = kv->Write(batch);
   return result;
 }
 

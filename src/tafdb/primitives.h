@@ -154,6 +154,10 @@ struct DirChanges {
 };
 
 struct PrimitiveResult {
+  PrimitiveResult() = default;
+  // A failed result (SimNet::Call returns its delivery error this way).
+  PrimitiveResult(Status s) : status(std::move(s)) {}  // NOLINT
+
   Status status;
   int64_t deleted = 0;  // records actually deleted (rename's auto delta)
   // Images of the records this op deleted, in delete order. Multi-step

@@ -59,10 +59,6 @@ StatusOr<ShardCommand> ShardCommand::Decode(std::string_view data) {
   return cmd;
 }
 
-TafDbShardSm::TafDbShardSm(KvOptions kv_options) : kv_(std::move(kv_options)) {
-  (void)kv_.Open();
-}
-
 std::string TafDbShardSm::Apply(LogIndex, std::string_view command) {
   auto decoded = ShardCommand::Decode(command);
   if (!decoded.ok()) {
@@ -217,12 +213,8 @@ Status TafDbShardSm::Restore(std::string_view state) {
       return Status::Corruption("snapshot row truncated");
     }
     batch.Put(key, value);
-    if (batch.size() >= 1024) {
-      CFS_RETURN_IF_ERROR(kv_.Write(batch, /*sync=*/false));
-      batch.Clear();
-    }
   }
-  CFS_RETURN_IF_ERROR(kv_.Write(batch, /*sync=*/false));
+  CFS_RETURN_IF_ERROR(kv_.Write(batch));
   staged_.clear();
   if (!dec.GetVarint64(&staged)) return Status::Corruption("snapshot staged");
   for (uint64_t i = 0; i < staged; i++) {
@@ -272,11 +264,9 @@ TafDbShard::TafDbShard(SimNet* net, std::string name,
       read_gate_(options.read_concurrency, options.read_processing_us),
       txn_write_gate_(options.txn_write_concurrency,
                       options.txn_write_processing_us) {
-  KvOptions kv = options.kv;
-  kv.use_wal = false;  // raft log is the durability layer
   group_ = std::make_unique<RaftGroup>(
       net_, name_, std::move(servers),
-      [kv](ReplicaId) { return std::make_unique<TafDbShardSm>(kv); },
+      [](ReplicaId) { return std::make_unique<TafDbShardSm>(); },
       options.raft);
 }
 

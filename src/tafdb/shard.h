@@ -61,8 +61,6 @@ struct ShardCommand {
 // mutation epochs.
 class TafDbShardSm : public StateMachine {
  public:
-  explicit TafDbShardSm(KvOptions kv_options);
-
   std::string Apply(LogIndex index, std::string_view command) override;
   // Log compaction support: serializes/replaces the full shard state
   // (live records, staged transactions, exactly-once bookkeeping, epochs).
@@ -115,7 +113,6 @@ class TafDbShardSm : public StateMachine {
 
 struct TafDbShardOptions {
   RaftOptions raft;
-  KvOptions kv;
   size_t replicas = 3;
   // Server-side processing cost per read, modelling the heavier
   // database-table path of TafDB relative to FileStore's raw KV lookups

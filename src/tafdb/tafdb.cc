@@ -26,7 +26,6 @@ TafDbCluster::TafDbCluster(SimNet* net, std::vector<uint32_t> servers,
     }
     TafDbShardOptions shard_options;
     shard_options.raft = options_.raft;
-    shard_options.kv = options_.kv;
     shard_options.replicas = options_.replicas;
     shard_options.read_processing_us = options_.read_processing_us;
     shard_options.read_concurrency = options_.read_concurrency;

@@ -41,7 +41,6 @@ struct TafDbOptions {
   // Width of each contiguous kID range stripe.
   uint64_t range_stripe_width = 64;
   RaftOptions raft;
-  KvOptions kv;
   // Forwarded to each shard (see TafDbShardOptions).
   int64_t read_processing_us = 150;
   size_t read_concurrency = 2;

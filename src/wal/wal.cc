@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/encoding.h"
@@ -143,35 +144,9 @@ Status Wal::Replay(
   return Status::Ok();
 }
 
-std::vector<std::pair<uint64_t, std::string>> Wal::ReadFrom(
-    uint64_t from_lsn, size_t max) const {
-  MutexLock lock(mu_);
-  CFS_SHARED_READ(window_, mu_);
-  std::vector<std::pair<uint64_t, std::string>> out;
-  if (from_lsn < window_base_) from_lsn = window_base_;
-  for (uint64_t lsn = from_lsn; lsn < next_lsn_ && out.size() < max; lsn++) {
-    out.emplace_back(lsn, window_[lsn - window_base_]);
-  }
-  return out;
-}
-
-uint64_t Wal::FirstLsn() const {
-  MutexLock lock(mu_);
-  return window_base_;
-}
-
 uint64_t Wal::NextLsn() const {
   MutexLock lock(mu_);
   return next_lsn_;
-}
-
-void Wal::TruncatePrefix(uint64_t up_to) {
-  MutexLock lock(mu_);
-  CFS_SHARED_WRITE(window_, mu_);
-  while (window_base_ < up_to && !window_.empty()) {
-    window_.pop_front();
-    window_base_++;
-  }
 }
 
 Status Wal::CorruptTailForTest(size_t bytes) {

@@ -1,13 +1,11 @@
 // Write-ahead log.
 //
 // Append-only sequence of opaque records, each assigned a monotonically
-// increasing LSN. Three consumers:
-//   - the KV store logs write batches before applying them to the memtable,
-//   - raft persists log entries and votes,
-//   - the garbage collector tails recent records as its change-data-capture
-//     feed (paper §4.4).
+// increasing LSN. Its one consumer is raft, which persists log entries and
+// votes and replays them on restart. (The garbage collector's
+// change-data-capture feed tails raft's committed log, not the WAL.)
 //
-// Records live in memory (the CDC window) and, when a path is configured,
+// Records live in a bounded memory window and, when a path is configured,
 // are also framed to a file ([crc32c][varint len][payload]) so recovery and
 // corruption-detection paths can be tested against real bytes. fsync is
 // simulated by default (a configurable sleep standing in for the paper's
@@ -22,7 +20,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -36,7 +33,7 @@ struct WalOptions {
   std::string path;
   // Issue a real fdatasync on synced appends (requires `path`).
   bool real_fsync = false;
-  // Cap on the in-memory record window retained for CDC tailing; older
+  // Cap on the in-memory record window a memory-only Replay delivers; older
   // records are dropped from memory (they remain in the file if any).
   size_t memory_window = 1 << 20;
 };
@@ -62,18 +59,8 @@ class Wal {
   Status Replay(
       const std::function<void(uint64_t lsn, std::string_view record)>& fn);
 
-  // Returns records with lsn >= from_lsn currently in the memory window
-  // (CDC tailing). `max` caps the batch.
-  std::vector<std::pair<uint64_t, std::string>> ReadFrom(uint64_t from_lsn,
-                                                         size_t max) const;
-
-  // First LSN still held in the memory window.
-  uint64_t FirstLsn() const;
   // LSN the next append will receive.
   uint64_t NextLsn() const;
-
-  // Drops memory-window records with lsn < up_to (checkpointing).
-  void TruncatePrefix(uint64_t up_to);
 
   // Test hook: chop the last `bytes` off the backing file to emulate a torn
   // write; subsequent Replay must stop cleanly before the torn frame.
@@ -88,9 +75,9 @@ class Wal {
   Status AppendToFileLocked(std::string_view record) REQUIRES(mu_);
 
   WalOptions options_;  // tsa-coverage: allow(immutable after construction)
-  // Leaf within the write path: raft/kv append while holding their own
-  // locks, so wal.log ranks above them; the simulated fsync sleep happens
-  // with mu_ released.
+  // Leaf within the write path: raft appends while holding its own locks,
+  // so wal.log ranks above them; the simulated fsync sleep happens with mu_
+  // released.
   mutable Mutex mu_{"wal.log", 70};
   std::deque<std::string> window_ GUARDED_BY(mu_);
   uint64_t window_base_ GUARDED_BY(mu_) = 0;  // LSN of window_.front()

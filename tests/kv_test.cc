@@ -1,12 +1,12 @@
-// Tests for the LSM KV store: memtable versioning, batches, scans,
-// snapshots, flush/compaction, WAL recovery, plus a randomized property test
-// against a reference model.
+// Tests for the KV store: batches, bounded scans, batch atomicity under
+// concurrent readers, plus a randomized property test against a reference
+// model.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <atomic>
 #include <map>
-#include <optional>
+#include <thread>
 
 #include "src/common/random.h"
 #include "src/kv/kvstore.h"
@@ -14,94 +14,20 @@
 namespace cfs {
 namespace {
 
-TEST(MemTableTest, VersionedGet) {
-  MemTable mt;
-  mt.Add("k", "v1", 1, ValueType::kPut);
-  mt.Add("k", "v2", 5, ValueType::kPut);
-  auto latest = mt.Get("k", UINT64_MAX);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->value, "v2");
-  auto old = mt.Get("k", 3);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->value, "v1");
-  EXPECT_FALSE(mt.Get("k", 0).has_value());
-  EXPECT_FALSE(mt.Get("other", UINT64_MAX).has_value());
-}
-
-TEST(MemTableTest, TombstoneIsVisibleVersion) {
-  MemTable mt;
-  mt.Add("k", "v", 1, ValueType::kPut);
-  mt.Add("k", "", 2, ValueType::kDelete);
-  auto e = mt.Get("k", UINT64_MAX);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->type, ValueType::kDelete);
-}
-
-TEST(MemTableTest, RangeVisitInOrder) {
-  MemTable mt;
-  mt.Add("b", "2", 2, ValueType::kPut);
-  mt.Add("a", "1", 1, ValueType::kPut);
-  mt.Add("c", "3", 3, ValueType::kPut);
-  std::vector<std::string> keys;
-  mt.VisitRange("a", "c", [&](const KvEntry& e) {
-    keys.push_back(e.key);
-    return true;
-  });
-  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(SortedRunTest, GetHonorsSnapshot) {
-  std::vector<KvEntry> entries = {
-      {"k", "v2", 5, ValueType::kPut},
-      {"k", "v1", 1, ValueType::kPut},
-  };
-  SortedRun run(std::move(entries));
-  auto latest = run.Get("k", UINT64_MAX);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->value, "v2");
-  auto old = run.Get("k", 2);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->value, "v1");
-}
-
-TEST(SortedRunTest, MergeKeepsNewestAndSnapshotVersions) {
-  auto run1 = std::make_shared<SortedRun>(std::vector<KvEntry>{
-      {"a", "new", 10, ValueType::kPut},
-  });
-  auto run2 = std::make_shared<SortedRun>(std::vector<KvEntry>{
-      {"a", "mid", 5, ValueType::kPut},
-      {"a", "old", 2, ValueType::kPut},
-  });
-  // Snapshot at seq 6 pins "mid"; "old" is shadowed for every reader.
-  auto merged = SortedRun::Merge({run1, run2}, /*keep_seq=*/6, true);
-  ASSERT_EQ(merged->size(), 2u);
-  EXPECT_EQ(merged->entries()[0].value, "new");
-  EXPECT_EQ(merged->entries()[1].value, "mid");
-}
-
-TEST(SortedRunTest, MergeDropsShadowedTombstones) {
-  auto run = std::make_shared<SortedRun>(std::vector<KvEntry>{
-      {"a", "", 10, ValueType::kDelete},
-      {"a", "v", 2, ValueType::kPut},
-  });
-  auto merged = SortedRun::Merge({run}, UINT64_MAX, /*drop_tombstones=*/true);
-  EXPECT_EQ(merged->size(), 0u);
-}
-
 TEST(KvStoreTest, PutGetDelete) {
   KvStore kv;
-  ASSERT_TRUE(kv.Open().ok());
   ASSERT_TRUE(kv.Put("key", "value").ok());
   auto got = kv.Get("key");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, "value");
+  EXPECT_TRUE(kv.Contains("key"));
   ASSERT_TRUE(kv.Delete("key").ok());
   EXPECT_TRUE(kv.Get("key").status().IsNotFound());
+  EXPECT_FALSE(kv.Contains("key"));
 }
 
 TEST(KvStoreTest, BatchIsAppliedInOrder) {
   KvStore kv;
-  ASSERT_TRUE(kv.Open().ok());
   WriteBatch batch;
   batch.Put("k", "first");
   batch.Delete("k");
@@ -114,138 +40,70 @@ TEST(KvStoreTest, BatchIsAppliedInOrder) {
 
 TEST(KvStoreTest, ScanRangeSortedAndBounded) {
   KvStore kv;
-  ASSERT_TRUE(kv.Open().ok());
   for (int i = 9; i >= 0; i--) {
     ASSERT_TRUE(kv.Put("k" + std::to_string(i), std::to_string(i)).ok());
   }
+  ASSERT_TRUE(kv.Put("j", "before").ok());
+  ASSERT_TRUE(kv.Put("m", "after").ok());
   auto rows = kv.Scan("k2", "k7");
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_EQ(rows.front().first, "k2");
   EXPECT_EQ(rows.back().first, "k6");
-  auto limited = kv.Scan("k0", "", 3);
-  EXPECT_EQ(limited.size(), 3u);
+  // The limit stops the scan at the first `limit` keys in order.
+  auto limited = kv.Scan("k2", "k7", 3);
+  ASSERT_EQ(limited.size(), 3u);
+  EXPECT_EQ(limited.front().first, "k2");
+  EXPECT_EQ(limited.back().first, "k4");
+  // An empty end is unbounded.
+  auto open_ended = kv.Scan("k8", "");
+  ASSERT_EQ(open_ended.size(), 3u);
+  EXPECT_EQ(open_ended.back().first, "m");
+  EXPECT_EQ(kv.Scan("", "").size(), 12u);
 }
 
 TEST(KvStoreTest, ScanSkipsTombstones) {
   KvStore kv;
-  ASSERT_TRUE(kv.Open().ok());
   ASSERT_TRUE(kv.Put("a", "1").ok());
   ASSERT_TRUE(kv.Put("b", "2").ok());
   ASSERT_TRUE(kv.Delete("a").ok());
   auto rows = kv.Scan("", "");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].first, "b");
-  EXPECT_EQ(kv.CountRange("", ""), 1u);
 }
 
-TEST(KvStoreTest, SnapshotReadsAreStable) {
+// A batch is visible whole or not at all: a writer flips one key between
+// two names with {Delete a, Put b} / {Delete b, Put a} batches while a
+// reader scans, and every scan must hold exactly one key.
+TEST(KvStoreTest, ReadersSeeWholeBatches) {
   KvStore kv;
-  ASSERT_TRUE(kv.Open().ok());
-  ASSERT_TRUE(kv.Put("k", "old").ok());
-  uint64_t snap = kv.GetSnapshot();
-  ASSERT_TRUE(kv.Put("k", "new").ok());
-  ASSERT_TRUE(kv.Put("k2", "added-later").ok());
-  auto at_snap = kv.Get("k", snap);
-  ASSERT_TRUE(at_snap.ok());
-  EXPECT_EQ(*at_snap, "old");
-  EXPECT_TRUE(kv.Get("k2", snap).status().IsNotFound());
-  EXPECT_EQ(kv.Scan("", "", 0, snap).size(), 1u);
-  kv.ReleaseSnapshot(snap);
-}
-
-TEST(KvStoreTest, SnapshotSurvivesFlushAndCompaction) {
-  KvOptions options;
-  options.memtable_flush_bytes = 1;  // flush on every write
-  options.max_runs_before_compaction = 2;
-  KvStore kv(options);
-  ASSERT_TRUE(kv.Open().ok());
-  ASSERT_TRUE(kv.Put("k", "v1").ok());
-  uint64_t snap = kv.GetSnapshot();
-  for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(kv.Put("k", "v" + std::to_string(i + 2)).ok());
+  ASSERT_TRUE(kv.Put("a", "x").ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> scans{0};
+  std::atomic<int> torn{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (kv.Scan("", "").size() != 1) torn.fetch_add(1);
+      scans.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 100000; i++) {
+    WriteBatch batch;
+    batch.Delete(i % 2 == 0 ? "a" : "b");
+    batch.Put(i % 2 == 0 ? "b" : "a", "x");
+    EXPECT_TRUE(kv.Write(batch).ok());
   }
-  ASSERT_TRUE(kv.Compact().ok());
-  auto old = kv.Get("k", snap);
-  ASSERT_TRUE(old.ok());
-  EXPECT_EQ(*old, "v1");
-  kv.ReleaseSnapshot(snap);
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0) << "of " << scans.load() << " scans";
+  EXPECT_EQ(kv.Scan("", "").size(), 1u);
 }
 
-TEST(KvStoreTest, FlushAndCompactPreserveData) {
-  KvOptions options;
-  options.memtable_flush_bytes = 256;
-  options.max_runs_before_compaction = 2;
-  KvStore kv(options);
-  ASSERT_TRUE(kv.Open().ok());
-  for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(kv.Put("key" + std::to_string(i), std::string(32, 'x')).ok());
-  }
-  EXPECT_GT(kv.stats().flushes, 0u);
-  EXPECT_GT(kv.stats().compactions, 0u);
-  for (int i = 0; i < 500; i++) {
-    EXPECT_TRUE(kv.Get("key" + std::to_string(i)).ok()) << i;
-  }
-}
-
-TEST(KvStoreTest, DeleteAcrossFlushIsHonored) {
-  KvOptions options;
-  options.memtable_flush_bytes = 128;
-  KvStore kv(options);
-  ASSERT_TRUE(kv.Open().ok());
-  ASSERT_TRUE(kv.Put("victim", std::string(200, 'v')).ok());  // forces flush
-  ASSERT_TRUE(kv.Delete("victim").ok());
-  ASSERT_TRUE(kv.Flush().ok());
-  ASSERT_TRUE(kv.Compact().ok());
-  EXPECT_TRUE(kv.Get("victim").status().IsNotFound());
-}
-
-TEST(KvStoreTest, RecoversFromWal) {
-  std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("cfs_kv_recover_" + std::to_string(::getpid())))
-          .string();
-  std::remove(path.c_str());
-  {
-    KvOptions options;
-    options.wal.path = path;
-    KvStore kv(options);
-    ASSERT_TRUE(kv.Open().ok());
-    ASSERT_TRUE(kv.Put("persist-me", "yes").ok());
-    ASSERT_TRUE(kv.Delete("persist-me-not").ok());
-  }
-  KvOptions options;
-  options.wal.path = path;
-  KvStore kv(options);
-  ASSERT_TRUE(kv.Open().ok());
-  auto got = kv.Get("persist-me");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "yes");
-  std::remove(path.c_str());
-}
-
-TEST(WriteBatchTest, EncodeDecodeRoundTrip) {
-  WriteBatch batch;
-  batch.Put("alpha", "1");
-  batch.Delete("beta");
-  batch.Put("gamma", std::string(300, 'g'));
-  auto decoded = WriteBatch::Decode(batch.Encode());
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->ops().size(), 3u);
-  EXPECT_EQ(decoded->ops()[0].key, "alpha");
-  EXPECT_EQ(decoded->ops()[1].type, ValueType::kDelete);
-  EXPECT_EQ(decoded->ops()[2].value.size(), 300u);
-}
-
-// Property test: random workload against a std::map reference model, with
-// aggressive flush/compaction settings, across several seeds.
+// Property test: random workload against a std::map reference model,
+// across several seeds.
 class KvPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KvPropertyTest, MatchesReferenceModel) {
-  KvOptions options;
-  options.memtable_flush_bytes = 512;
-  options.max_runs_before_compaction = 3;
-  KvStore kv(options);
-  ASSERT_TRUE(kv.Open().ok());
+  KvStore kv;
   std::map<std::string, std::string> model;
   Rng rng(GetParam());
 

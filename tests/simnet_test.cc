@@ -18,6 +18,12 @@
 namespace cfs {
 namespace {
 
+// One round trip with a no-op handler: delivery, latency and accounting
+// only.
+Status Ping(SimNet& net, NodeId from, NodeId to) {
+  return net.Call(from, to, [] { return Status::Ok(); });
+}
+
 TEST(SimNetTest, CallInvokesHandler) {
   SimNet net;
   NodeId a = net.AddNode("a", 0);
@@ -60,11 +66,11 @@ TEST(SimNetTest, PartitionIsSymmetricAndHealable) {
   NodeId b = net.AddNode("b", 1);
   NodeId c = net.AddNode("c", 2);
   net.SetPartitioned(a, b, true);
-  EXPECT_FALSE(net.BeginCall(a, b).ok());
-  EXPECT_FALSE(net.BeginCall(b, a).ok());
-  EXPECT_TRUE(net.BeginCall(a, c).ok());
+  EXPECT_FALSE(Ping(net, a, b).ok());
+  EXPECT_FALSE(Ping(net, b, a).ok());
+  EXPECT_TRUE(Ping(net, a, c).ok());
   net.HealAll();
-  EXPECT_TRUE(net.BeginCall(a, b).ok());
+  EXPECT_TRUE(Ping(net, a, b).ok());
 }
 
 TEST(SimNetTest, ThreadHopCounter) {
@@ -92,11 +98,11 @@ TEST(SimNetTest, SleepModeInjectsCrossNodeLatency) {
   NodeId a2 = net.AddNode("a2", 0);
 
   Stopwatch sw;
-  (void)net.BeginCall(a, b);
+  (void)Ping(net, a, b);
   EXPECT_GE(sw.ElapsedMicros(), 2000);
 
   sw.Reset();
-  (void)net.BeginCall(a, a2);  // same server: no cross-node cost
+  (void)Ping(net, a, a2);  // same server: no cross-node cost
   EXPECT_LT(sw.ElapsedMicros(), 1500);
 }
 
@@ -106,7 +112,7 @@ TEST(SimNetTest, ZeroModeIsFast) {
   NodeId b = net.AddNode("b", 1);
   Stopwatch sw;
   for (int i = 0; i < 10000; i++) {
-    (void)net.BeginCall(a, b);
+    (void)Ping(net, a, b);
   }
   EXPECT_LT(sw.ElapsedMicros(), 1000000);
   EXPECT_EQ(net.TotalCalls(), 10000u);
@@ -116,7 +122,7 @@ TEST(SimNetTest, ResetStatsClearsCounters) {
   SimNet net;
   NodeId a = net.AddNode("a", 0);
   NodeId b = net.AddNode("b", 1);
-  (void)net.BeginCall(a, b);
+  (void)Ping(net, a, b);
   net.ResetStats();
   EXPECT_EQ(net.TotalCalls(), 0u);
   EXPECT_EQ(net.CallsTo(b), 0u);
@@ -130,9 +136,9 @@ TEST(SimNetTest, EdgeStatsCountPerDirectedEdge) {
   NodeId a = net.AddNode("a", 0);
   NodeId b = net.AddNode("b", 1);
   NodeId c = net.AddNode("c", 2);
-  for (int i = 0; i < 3; i++) (void)net.BeginCall(a, b);
-  (void)net.BeginCall(b, a);
-  (void)net.BeginCall(a, c);
+  for (int i = 0; i < 3; i++) (void)Ping(net, a, b);
+  (void)Ping(net, b, a);
+  (void)Ping(net, a, c);
 
   EXPECT_EQ(net.CallsBetween(a, b), 3u);
   EXPECT_EQ(net.CallsBetween(b, a), 1u);  // edges are directed
@@ -149,7 +155,7 @@ TEST(SimNetTest, EdgeStatsCountPerDirectedEdge) {
 
   // A failed delivery is not a completed round trip: no edge bump.
   net.SetNodeDown(c, true);
-  (void)net.BeginCall(a, c);
+  (void)Ping(net, a, c);
   EXPECT_EQ(net.CallsBetween(a, c), 1u);
 }
 
@@ -162,8 +168,8 @@ TEST(SimNetTest, SleepModeAccumulatesInjectedLatency) {
   NodeId a = net.AddNode("a", 0);
   NodeId b = net.AddNode("b", 1);
   OpTrace::ClearPhase(Phase::kRpc);
-  (void)net.BeginCall(a, b);
-  (void)net.BeginCall(a, b);
+  (void)Ping(net, a, b);
+  (void)Ping(net, a, b);
   EXPECT_EQ(net.TotalInjectedLatencyUs(), 2000);
   EXPECT_EQ(net.EdgeStats()[std::make_pair(a, b)].injected_us, 2000);
   // Each hop also stamps the calling thread's trace.
@@ -176,7 +182,7 @@ TEST(SimNetTest, RegistersMetricsProbe) {
   SimNet net;
   NodeId a = net.AddNode("alpha", 0);
   NodeId b = net.AddNode("beta", 1);
-  (void)net.BeginCall(a, b);
+  (void)Ping(net, a, b);
   std::string json = MetricsRegistry::Global().DumpJson();
   // The probe exposes total and per-edge samples named by node.
   EXPECT_NE(json.find("\"calls.alpha->beta\":1"), std::string::npos) << json;

@@ -115,6 +115,12 @@ TEST(SimTimeScheduler, NowNanosOrRealUsesTaskClockUnderScheduler) {
 // ---------------------------------------------------------------------------
 // SimNet in LatencyMode::kVirtual.
 
+// One round trip with a no-op handler: delivery, latency and accounting
+// only.
+Status Ping(SimNet& net, NodeId from, NodeId to) {
+  return net.Call(from, to, [] { return Status::Ok(); });
+}
+
 NetOptions VirtualNet(int64_t rtt_us, int64_t jitter_pct) {
   NetOptions options;
   options.mode = LatencyMode::kVirtual;
@@ -131,8 +137,8 @@ TEST(SimNetVirtual, AdvancesTaskClockInsteadOfSleeping) {
   simtime::Scheduler sched(7);
   int64_t observed = -1;
   sched.At(0, [&] {
-    EXPECT_TRUE(net.BeginCall(a, b).ok());
-    EXPECT_TRUE(net.BeginCall(a, b).ok());
+    EXPECT_TRUE(Ping(net, a, b).ok());
+    EXPECT_TRUE(Ping(net, a, b).ok());
     observed = sched.task_now_us();
   });
   Stopwatch sw;
@@ -142,32 +148,13 @@ TEST(SimNetVirtual, AdvancesTaskClockInsteadOfSleeping) {
   EXPECT_EQ(net.TotalInjectedLatencyUs(), 2000);
 }
 
-TEST(SimNetVirtual, InjectLatencyFalseChargesNothing) {
-  SimNet net(VirtualNet(1000, 0));
-  NodeId a = net.AddNode("a", 0);
-  NodeId b = net.AddNode("b", 1);
-  simtime::Scheduler sched(7);
-  int64_t observed = -1;
-  sched.At(0, [&] {
-    // The charge-once fan-out path: only the first hop of a serialized
-    // round models the network.
-    EXPECT_TRUE(net.BeginCall(a, b, /*inject_latency=*/true).ok());
-    EXPECT_TRUE(net.BeginCall(a, b, /*inject_latency=*/false).ok());
-    observed = sched.task_now_us();
-  });
-  sched.RunUntil(10);
-  EXPECT_EQ(observed, 1000);
-  EXPECT_EQ(net.TotalInjectedLatencyUs(), 1000);
-  EXPECT_EQ(net.TotalCalls(), 2u);  // both hops still count as calls
-}
-
 TEST(SimNetVirtual, NoSchedulerMeansNoCharge) {
   SimNet net(VirtualNet(1000, 0));
   NodeId a = net.AddNode("a", 0);
   NodeId b = net.AddNode("b", 1);
   ASSERT_EQ(simtime::Current(), nullptr);
   Stopwatch sw;
-  EXPECT_TRUE(net.BeginCall(a, b).ok());  // setup/population thread
+  EXPECT_TRUE(Ping(net, a, b).ok());  // setup/population thread
   EXPECT_LT(sw.ElapsedMicros(), 500000);
   EXPECT_EQ(net.TotalInjectedLatencyUs(), 0);
 }
@@ -179,7 +166,7 @@ TEST(SimNetVirtual, JitterComesFromSchedulerSeed) {
     NodeId b = net.AddNode("b", 1);
     simtime::Scheduler sched(seed);
     sched.At(0, [&] {
-      for (int i = 0; i < 16; i++) (void)net.BeginCall(a, b);
+      for (int i = 0; i < 16; i++) (void)Ping(net, a, b);
     });
     sched.RunUntil(1);
     return net.TotalInjectedLatencyUs();
@@ -218,7 +205,7 @@ TEST(SimNetVirtual, FanOutChargesOneRoundAndSkipsDownNodes) {
   simtime::Scheduler same_seed(11);
   int64_t one_rtt = -1;
   same_seed.At(0, [&] {
-    EXPECT_TRUE(single.BeginCall(a, b).ok());
+    EXPECT_TRUE(Ping(single, a, b).ok());
     one_rtt = same_seed.task_now_us();
   });
   same_seed.RunUntil(1);
@@ -254,7 +241,7 @@ TEST(SimNetVirtual, FanOutOnSchedulerIsSerialInOrderAndReplays) {
         const std::thread::id self = std::this_thread::get_id();
         (void)net.FanOut(from, to, [&](size_t i) {
           EXPECT_EQ(std::this_thread::get_id(), self);
-          (void)net.BeginCall(to[i], leaf);
+          (void)Ping(net, to[i], leaf);
           log += std::to_string(task) + "." + std::to_string(i) + "@" +
                  std::to_string(sched.task_now_us()) + " ";
           return Status::Ok();

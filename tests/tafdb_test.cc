@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 
@@ -90,7 +91,6 @@ TEST(SchemaTest, SymlinkTargetRoundTrip) {
 class PrimitiveExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(kv_.Open().ok());
     // A parent directory (id 10) with one child file "old" (id 20).
     PrimitiveOp bootstrap;
     bootstrap.inserts.push_back(InodeRecord::MakeDirAttr(10, 1, 0755, 0, 0));
@@ -423,19 +423,13 @@ TEST(PrimitiveCodecTest, ResultRoundTrip) {
 // Applies shard commands to a bare state machine, one request id each.
 class ShardSmHarness {
  public:
-  ShardSmHarness() : sm_(Kv()) {
+  ShardSmHarness() {
     PrimitiveOp mkdir;
     mkdir.inserts.push_back(InodeRecord::MakeDirAttr(kDir, 1, 0755, 0, 0));
     EXPECT_TRUE(Apply(mkdir).status.ok());
   }
 
   static constexpr InodeId kDir = 10;
-
-  static KvOptions Kv() {
-    KvOptions kv;
-    kv.use_wal = false;
-    return kv;
-  }
 
   PrimitiveResult Apply(const PrimitiveOp& op) { return Apply(++seq_, op); }
   PrimitiveResult Apply(uint64_t request_id, const PrimitiveOp& op) {
@@ -493,7 +487,7 @@ TEST(TafDbShardSmTest, DirEpochBumpsInApplyAndSurvivesSnapshot) {
   EXPECT_EQ(duplicate.changes.epoch, 0u);
   EXPECT_EQ(h.sm().DirChangesSince(10, 0).epoch, 1u);
 
-  TafDbShardSm restored(ShardSmHarness::Kv());
+  TafDbShardSm restored;
   ASSERT_TRUE(restored.Restore(h.sm().Snapshot()).ok());
   EXPECT_EQ(restored.DirChangesSince(10, 0).epoch, 1u);
   EXPECT_EQ(restored.DirChangesSince(11, 0).epoch, 0u);
@@ -594,7 +588,7 @@ TEST(TafDbShardSmTest, UncoveredAfterNamelessBumpTrimAndRestore) {
   EXPECT_TRUE(tail.covered);
   EXPECT_EQ(tail.names.size(), TafDbShardSm::kJournalDepth);
 
-  TafDbShardSm restored(ShardSmHarness::Kv());
+  TafDbShardSm restored;
   ASSERT_TRUE(restored.Restore(h.sm().Snapshot()).ok());
   EXPECT_FALSE(restored.DirChangesSince(ShardSmHarness::kDir, epoch - 1)
                    .covered);
@@ -728,6 +722,43 @@ TEST_F(TafDbClusterTest, ConcurrentPrimitivesOnSharedParentAllSucceed) {
   auto attr = cluster_->ShardFor(dir)->Get(InodeKey::AttrRecord(dir));
   ASSERT_TRUE(attr.ok());
   EXPECT_EQ(attr->children, kThreads * kPerThread);
+}
+
+// A primitive's write batch is visible whole to leader-served reads: one
+// name flips between "a" and "b" by one-primitive renames through raft
+// while a reader lists the directory, and every listing holds exactly one
+// of the two names.
+TEST_F(TafDbClusterTest, ScanDirNeverSeesHalfARename) {
+  constexpr InodeId kDir = 40;
+  TafDbShard* shard = cluster_->ShardFor(kDir);
+  PrimitiveOp create;
+  create.inserts.push_back(
+      InodeRecord::MakeIdRecord(kDir, "a", 500, InodeType::kFile));
+  ASSERT_TRUE(shard->ExecutePrimitive(create).status.ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> scans{0};
+  std::atomic<int> torn{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto rows = shard->ScanDir(kDir, "", 0);
+      if (rows.ok() && rows->size() != 1) torn.fetch_add(1);
+      scans.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 3000; i++) {
+    const std::string from = i % 2 == 0 ? "a" : "b";
+    const std::string to = i % 2 == 0 ? "b" : "a";
+    PrimitiveOp rename;
+    DeleteSpec del;
+    del.key = InodeKey::IdRecord(kDir, from);
+    rename.deletes.push_back(del);
+    rename.inserts.push_back(
+        InodeRecord::MakeIdRecord(kDir, to, 500, InodeType::kFile));
+    EXPECT_TRUE(shard->ExecutePrimitive(rename).status.ok()) << i;
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0) << "of " << scans.load() << " listings";
 }
 
 TEST_F(TafDbClusterTest, TwoPhaseCommitAcrossShards) {

@@ -1,5 +1,5 @@
 // Unit tests for the WAL: append/LSN sequencing, replay (memory and file),
-// CDC tailing, prefix truncation, and torn-tail recovery.
+// the memory-window cap, and torn-tail recovery.
 
 #include <gtest/gtest.h>
 
@@ -42,33 +42,6 @@ TEST(WalTest, MemoryReplayDeliversInOrder) {
   EXPECT_EQ(seen, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(WalTest, ReadFromTailsWindow) {
-  Wal wal;
-  ASSERT_TRUE(wal.Open().ok());
-  for (int i = 0; i < 20; i++) {
-    (void)wal.Append("r" + std::to_string(i));
-  }
-  auto batch = wal.ReadFrom(15, 100);
-  ASSERT_EQ(batch.size(), 5u);
-  EXPECT_EQ(batch[0].first, 15u);
-  EXPECT_EQ(batch[0].second, "r15");
-  auto capped = wal.ReadFrom(0, 3);
-  EXPECT_EQ(capped.size(), 3u);
-}
-
-TEST(WalTest, TruncatePrefixDropsOldRecords) {
-  Wal wal;
-  ASSERT_TRUE(wal.Open().ok());
-  for (int i = 0; i < 10; i++) {
-    (void)wal.Append("r" + std::to_string(i));
-  }
-  wal.TruncatePrefix(7);
-  EXPECT_EQ(wal.FirstLsn(), 7u);
-  auto batch = wal.ReadFrom(0, 100);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].first, 7u);
-}
-
 TEST(WalTest, WindowCapEvictsOldest) {
   WalOptions options;
   options.memory_window = 4;
@@ -77,8 +50,15 @@ TEST(WalTest, WindowCapEvictsOldest) {
   for (int i = 0; i < 10; i++) {
     (void)wal.Append("r" + std::to_string(i));
   }
-  EXPECT_EQ(wal.FirstLsn(), 6u);
-  EXPECT_EQ(wal.ReadFrom(0, 100).size(), 4u);
+  // A memory-only replay delivers the last four records, with their LSNs.
+  std::vector<std::pair<uint64_t, std::string>> seen;
+  ASSERT_TRUE(wal.Replay([&](uint64_t lsn, std::string_view rec) {
+                   seen.emplace_back(lsn, rec);
+                 }).ok());
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen.front(), std::make_pair(uint64_t{6}, std::string("r6")));
+  EXPECT_EQ(seen.back(), std::make_pair(uint64_t{9}, std::string("r9")));
+  EXPECT_EQ(wal.NextLsn(), 10u);
 }
 
 TEST(WalTest, FileBackedReplaySurvivesReopen) {
