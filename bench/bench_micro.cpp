@@ -1,7 +1,7 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks under
 // every table/figure bench — encoding, CRC, KV ops, primitive
-// execution, lock acquisition, SimNet dispatch, and a raft commit round in
-// zero-latency mode.
+// execution, lock acquisition, SimNet dispatch (zero latency and one
+// slept 150 µs round trip), and a raft commit round in zero-latency mode.
 
 #include <benchmark/benchmark.h>
 
@@ -145,6 +145,24 @@ void BM_SimNetCallZeroLatency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimNetCallZeroLatency);
+
+// One kSleep round trip of a 150 µs cross-node RTT without jitter: the
+// modelled delay plus the sleep's wakeup latency (simtime::SleepUs).
+void BM_SimNetCallSleep150us(benchmark::State& state) {
+  NetOptions options;
+  options.mode = LatencyMode::kSleep;
+  options.cross_node_rtt_us = 150;
+  options.jitter_pct = 0;
+  SimNet net(options);
+  NodeId a = net.AddNode("a", 0);
+  NodeId b = net.AddNode("b", 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.Call(a, b, [] { return Status::Ok(); }));
+  }
+}
+BENCHMARK(BM_SimNetCallSleep150us)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 class CountingSm : public StateMachine {
  public:

@@ -24,6 +24,11 @@
 #   unnamed-mutex  a Mutex / SharedMutex in src/ not constructed on one line
 #                  as  Mutex mu_{"subsystem.name", rank};  (the docs rule
 #                  reads names and ranks from that form).
+#   raw-sleep      a sleep_for of microseconds or nanoseconds in src/ outside
+#                  src/common/simtime.cc: a modelled delay (RTT, service
+#                  time, fsync) must go through simtime::SleepUs, which runs
+#                  at 1 ns timer slack. Millisecond backoffs and tickers are
+#                  real waits and stay legal.
 #   nodiscard      Status / StatusOr lost [[nodiscard]], or CMakeLists.txt
 #                  lost -Werror=unused-result (a dropped status is a
 #                  swallowed error).
@@ -243,6 +248,9 @@ FNR == 1 {
     finding(FILENAME, FNR, "raw-std-sync", "raw std synchronization type (use the cfs:: wrappers)")
   if (in_src && code ~ /(^|[^_A-Za-z0-9])assert\(/)
     finding(FILENAME, FNR, "bare-assert", "bare assert() (use CFS_CHECK / CFS_DCHECK from src/common/check.h)")
+  if (in_src && FILENAME != "src/common/simtime.cc" &&
+      code ~ /sleep_for[ \t]*\([ \t]*(std::)?(chrono::)?(micro|nano)seconds/)
+    finding(FILENAME, FNR, "raw-sleep", "modelled delay sleeps outside simtime::SleepUs (src/common/simtime.cc)")
   if (in_src && mu == 1)
     finding(FILENAME, FNR, "unnamed-mutex", "unnamed mutex (construct as Mutex mu_{\"subsystem.name\", rank};)")
   if (in_src && mu == 2) fact("mutex class", mu_key)

@@ -13,10 +13,8 @@
 #ifndef CFS_COMMON_LOAD_GATE_H_
 #define CFS_COMMON_LOAD_GATE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <semaphore>
-#include <thread>
 
 #include "src/common/simtime.h"
 
@@ -45,7 +43,7 @@ class LoadGate {
       return;
     }
     sem_.acquire();
-    std::this_thread::sleep_for(std::chrono::microseconds(processing_us_));
+    simtime::SleepUs(processing_us_);
     sem_.release();
   }
 

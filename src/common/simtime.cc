@@ -6,6 +6,10 @@
 #include <thread>
 #include <utility>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "src/common/check.h"
 #include "src/common/race_detector.h"
 #include "src/common/random.h"
@@ -117,13 +121,22 @@ int64_t NowNanosOrReal() {
                           : RealClock::Get()->NowNanos();
 }
 
-void AdvanceOrSleepUs(int64_t us) {
+void SleepUs(int64_t us) {
   if (us <= 0) return;
+#ifdef __linux__
+  // Runs once per thread, on its first modelled sleep.
+  [[maybe_unused]] thread_local const int t_slack =
+      prctl(PR_SET_TIMERSLACK, 1UL);
+#endif
+  std::this_thread::sleep_for(std::chrono::microseconds(us));
+}
+
+void AdvanceOrSleepUs(int64_t us) {
   Scheduler* sched = t_current;
   if (sched != nullptr) {
     sched->AdvanceUs(us);
   } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
+    SleepUs(us);
   }
 }
 

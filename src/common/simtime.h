@@ -169,8 +169,16 @@ Scheduler* Current();
 // TraceSpan and causal-trace events.
 int64_t NowNanosOrReal();
 
+// The one wall-clock sleep for modelled delay (RTT, service time, fsync).
+// Linux lets a thread's timer fire up to its timer slack late, 50 µs by
+// default, so a 150 µs sleep takes ~210 µs there. The first call on a
+// thread sets that thread's slack to 1 ns (prctl PR_SET_TIMERSLACK, a
+// per-thread attribute), so the sleep ends close to `us`; it never ends
+// early. No-op if us <= 0.
+void SleepUs(int64_t us);
+
 // Charges `us` of modelled delay: accrues virtual time under a driving
-// scheduler, performs a real sleep otherwise.
+// scheduler, SleepUs otherwise.
 void AdvanceOrSleepUs(int64_t us);
 
 // Preemption point: forwards to the driving scheduler's FuzzPointHit when

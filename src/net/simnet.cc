@@ -228,9 +228,7 @@ int64_t SimNet::InjectLatency(NodeId from, NodeId to) {
     return us > 0 ? us : 0;
   }
   int64_t us = Jitter(base, options_.jitter_pct, SplitMix64(t_rng_state));
-  if (us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
+  simtime::SleepUs(us);
   return us > 0 ? us : 0;
 }
 
