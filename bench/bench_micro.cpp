@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks under
 // every table/figure bench — encoding, CRC, KV ops, primitive
 // execution, lock acquisition, SimNet dispatch (zero latency and one
-// slept 150 µs round trip), and a raft commit round in zero-latency mode.
+// slept 150 µs round trip), and a raft commit round in zero-latency mode
+// and under the wall model's modelled delays.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/encoding.h"
@@ -196,6 +198,58 @@ void BM_RaftProposeCommit(benchmark::State& state) {
   group.Stop();
 }
 BENCHMARK(BM_RaftProposeCommit)->Unit(benchmark::kMicrosecond);
+
+// The same commit under the wall model's delays: kSleep with a 150 µs
+// (±10%) round trip and a 30 µs fsync per synced WAL append on every
+// replica, one group shared by all threads, each proposing back to back.
+// Real time per proposal per thread; items/s is proposals/s over all
+// threads.
+class RaftSleepBench : public benchmark::Fixture {
+ public:
+  void SetUp(const benchmark::State& state) override {
+    if (state.thread_index() != 0) return;
+    NetOptions net_options;
+    net_options.mode = LatencyMode::kSleep;
+    net_ = std::make_unique<SimNet>(net_options);
+    RaftOptions options;
+    options.election_timeout_min_ms = 400;
+    options.election_timeout_max_ms = 800;
+    options.wal.fsync_delay_us = 30;
+    group_ = std::make_unique<RaftGroup>(
+        net_.get(), "bench-sleep", std::vector<uint32_t>{0, 1, 2},
+        [](ReplicaId) { return std::make_unique<CountingSm>(); }, options);
+    ready_ = group_->Start().ok() && group_->WaitForLeader().ok();
+  }
+  void TearDown(const benchmark::State& state) override {
+    if (state.thread_index() != 0) return;
+    group_.reset();
+    net_.reset();
+  }
+
+ protected:
+  std::unique_ptr<SimNet> net_;
+  std::unique_ptr<RaftGroup> group_;
+  bool ready_ = false;
+};
+
+BENCHMARK_DEFINE_F(RaftSleepBench, BM_RaftProposeCommitSleep)
+(benchmark::State& state) {
+  // Thread 0's SetUp is ordered before the loop's start barrier, not
+  // before this function's first line.
+  for (auto _ : state) {
+    if (!ready_ || !group_->Propose("command").ok()) {
+      state.SkipWithError("no leader or propose failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_REGISTER_F(RaftSleepBench, BM_RaftProposeCommitSleep)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime()
+    ->Threads(1)
+    ->Threads(4)
+    ->Threads(48);
 
 // --- dentry cache: sharded lookups vs. the old process-wide mutex map ---
 //

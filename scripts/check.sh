@@ -13,9 +13,11 @@
 #      harness, the sharded dentry cache, the Renamer, whose validation
 #      reads and invalidation broadcast run as SimNet::FanOut rounds on
 #      SimNet's worker pool, the KV store, whose batches readers must see
-#      whole, TafDB's raft-backed shards read while they apply, and the
-#      cross-engine cache-coherence tests — the code most exposed to the
-#      multi-threaded client loops).
+#      whole, TafDB's raft-backed shards read while they apply, raft itself,
+#      whose proposing threads carry AppendEntries beside the replicator
+#      threads, and its failover paths, and the cross-engine
+#      cache-coherence tests — the code most exposed to the multi-threaded
+#      client loops).
 #
 # Usage: scripts/check.sh [--tsan-only|--asan-only]
 set -euo pipefail
@@ -23,7 +25,8 @@ cd "$(dirname "$0")/.."
 
 TSAN_TESTS=(metrics_test trace_event_test simnet_test lock_manager_test
             common_test lock_order_test race_detector_test cs_scope_test
-            workload_test dentry_cache_test renamer_test kv_test tafdb_test)
+            workload_test dentry_cache_test renamer_test kv_test tafdb_test
+            raft_test failover_test)
 
 if [[ "${1:-}" == "" ]]; then
   echo "== regular build + full test suite =="

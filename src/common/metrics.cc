@@ -423,6 +423,20 @@ TraceSpan::~TraceSpan() {
   }
 }
 
+DetachedOpScope::DetachedOpScope() {
+  OpTrace::Tls& t = OpTrace::tls();
+  saved_data_ = t.data;
+  saved_mask_ = t.active_mask;
+  t.data = OpTraceData{};
+  t.active_mask = 0;
+}
+
+DetachedOpScope::~DetachedOpScope() {
+  OpTrace::Tls& t = OpTrace::tls();
+  t.data = saved_data_;
+  t.active_mask = saved_mask_;
+}
+
 // ---------------------------------------------------------------------------
 // PhaseBreakdown
 

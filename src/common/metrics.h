@@ -38,6 +38,7 @@
 #include "src/common/clock.h"
 #include "src/common/histogram.h"
 #include "src/common/thread_annotations.h"
+#include "src/common/trace_event.h"
 
 namespace cfs {
 
@@ -203,6 +204,7 @@ class OpTrace {
 
  private:
   friend class TraceSpan;
+  friend class DetachedOpScope;
   struct Tls;
   static Tls& tls();
 };
@@ -230,6 +232,25 @@ class TraceSpan {
   uint64_t span_id_ = 0;
   uint64_t saved_parent_ = 0;
   MonoNanos start_ = 0;
+};
+
+// Takes the calling thread off its op's books for the scope's lifetime: its
+// OpTrace accumulators are set aside and its causal-trace op suspended, so
+// phases, spans and RPC events recorded inside land on no op. Both come
+// back unchanged at destruction. For work a thread carries out on behalf of
+// a background role (SimNet::CallDetached).
+class DetachedOpScope {
+ public:
+  DetachedOpScope();
+  ~DetachedOpScope();
+
+  DetachedOpScope(const DetachedOpScope&) = delete;
+  DetachedOpScope& operator=(const DetachedOpScope&) = delete;
+
+ private:
+  OpTraceData saved_data_;
+  uint16_t saved_mask_;
+  trace::SuspendScope trace_;
 };
 
 // ---------------------------------------------------------------------------

@@ -510,6 +510,10 @@ NodeScope::~NodeScope() { tls().current_node = saved_; }
 
 uint32_t CurrentNode() { return tls().current_node; }
 
+SuspendScope::SuspendScope() : saved_(tls().active) { tls().active = false; }
+
+SuspendScope::~SuspendScope() { tls().active = saved_; }
+
 void RpcEvent(const char* from, const char* to, uint32_t to_node,
               int64_t injected_us) {
   Tls& t = tls();

@@ -300,6 +300,21 @@ class NodeScope {
 
 uint32_t CurrentNode();
 
+// Suspends the calling thread's active op for the scope's lifetime: Active()
+// reads false and nothing is recorded. The op resumes, unchanged, at
+// destruction. No-op on a thread that is not tracing.
+class SuspendScope {
+ public:
+  SuspendScope();
+  ~SuspendScope();
+
+  SuspendScope(const SuspendScope&) = delete;
+  SuspendScope& operator=(const SuspendScope&) = delete;
+
+ private:
+  bool saved_;
+};
+
 // Emits the kRpc span for one round trip: `from`/`to` are node names (used
 // for the span label, truncated), `to_node` the interned destination,
 // `injected_us` the injected round-trip latency (the span's duration,

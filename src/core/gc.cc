@@ -71,11 +71,29 @@ void GarbageCollector::ScanOnce() {
   // slow-op log like any other operation.
   trace::OpScope op("gc_scan");
   trace::ScopedSpan span(trace::Category::kGc, "scan");
-  MutexLock lock(mu_);
-  IngestTafDb();
-  IngestFileStore();
-  Reclaim();
-  ProcessDangling();
+  // The analysis runs under gc.scan. The repair writes, each a raft commit
+  // that waits out a replication round trip, run after it is released, so
+  // ReportDangling (a client's failed GetAttr) never queues behind them.
+  // Every repair is idempotent.
+  Repairs repairs;
+  {
+    MutexLock lock(mu_);
+    IngestTafDb();
+    IngestFileStore();
+    repairs = PlanReclaim();
+    repairs.dangling.swap(dangling_);
+  }
+  for (InodeId id : repairs.orphan_attrs) DeleteAttrEverywhere(id);
+  for (InodeId id : repairs.missed_deletes) {
+    // A missed unlink cleanup: drop the reference the crashed client never
+    // dropped (hard-link-safe), instead of force-deleting.
+    if (fs_->options().tiered_attrs) {
+      (void)fs_->filestore()->NodeFor(id)->Unref(id);
+    } else {
+      DeleteAttrEverywhere(id);
+    }
+  }
+  ProcessDangling(repairs.dangling);
 }
 
 void GarbageCollector::IngestTafDb() {
@@ -215,9 +233,10 @@ void GarbageCollector::DeleteAttrEverywhere(InodeId id) {
   (void)fs_->tafdb()->ShardFor(id)->ExecutePrimitive(op);
 }
 
-void GarbageCollector::Reclaim() {
+GarbageCollector::Repairs GarbageCollector::PlanReclaim() {
   MonoNanos now = RealClock::Get()->NowNanos();
   MonoNanos grace = fs_->options().gc_grace_ms * 1000000;
+  Repairs repairs;
 
   for (auto it = pending_create_.begin(); it != pending_create_.end();) {
     if (linked_.count(it->first) != 0) {
@@ -225,7 +244,7 @@ void GarbageCollector::Reclaim() {
       continue;
     }
     if (now - it->second >= grace) {
-      DeleteAttrEverywhere(it->first);
+      repairs.orphan_attrs.push_back(it->first);
       stats_.orphan_attrs_deleted++;
       Metrics().orphan_attrs->Add();
       it = pending_create_.erase(it);
@@ -239,13 +258,7 @@ void GarbageCollector::Reclaim() {
       continue;
     }
     if (now - it->second >= grace) {
-      // A missed unlink cleanup: drop the reference the crashed client
-      // never dropped (hard-link-safe), instead of force-deleting.
-      if (fs_->options().tiered_attrs) {
-        (void)fs_->filestore()->NodeFor(it->first)->Unref(it->first);
-      } else {
-        DeleteAttrEverywhere(it->first);
-      }
+      repairs.missed_deletes.push_back(it->first);
       stats_.missed_deletes_fixed++;
       Metrics().missed_deletes->Add();
       it = pending_delete_.erase(it);
@@ -257,6 +270,7 @@ void GarbageCollector::Reclaim() {
   // counterpart event can still arrive is dropped.
   if (linked_.size() > 1u << 20) linked_.clear();
   if (attr_deleted_.size() > 1u << 20) attr_deleted_.clear();
+  return repairs;
 }
 
 void GarbageCollector::ReportDangling(InodeId parent, const std::string& name,
@@ -265,9 +279,7 @@ void GarbageCollector::ReportDangling(InodeId parent, const std::string& name,
   dangling_.push_back(Dangling{parent, name, id});
 }
 
-void GarbageCollector::ProcessDangling() {
-  std::vector<Dangling> work;
-  work.swap(dangling_);
+void GarbageCollector::ProcessDangling(const std::vector<Dangling>& work) {
   for (const auto& d : work) {
     // Verify the attribute record is really gone before removing the
     // dentry (the report may race a slow create).
@@ -291,6 +303,7 @@ void GarbageCollector::ProcessDangling() {
     op.updates.push_back(dec);
     auto result = fs_->tafdb()->ShardFor(d.parent)->ExecutePrimitive(op);
     if (result.status.ok() && result.deleted > 0) {
+      MutexLock lock(mu_);
       stats_.dangling_entries_removed++;
       Metrics().dangling_entries->Add();
     }

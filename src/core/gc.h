@@ -60,10 +60,23 @@ class GarbageCollector {
  private:
   void Loop();
   void ScanOnce();
+  struct Dangling {
+    InodeId parent;
+    std::string name;
+    InodeId id;
+  };
+  // The writes a pass decided on under mu_, issued after releasing it.
+  struct Repairs {
+    std::vector<InodeId> orphan_attrs;    // crashed creates: delete
+    std::vector<InodeId> missed_deletes;  // crashed unlinks: unref
+    std::vector<Dangling> dangling;       // reported dentries: verify, drop
+  };
+
   void IngestTafDb() REQUIRES(mu_);
   void IngestFileStore() REQUIRES(mu_);
-  void Reclaim() REQUIRES(mu_);
-  void ProcessDangling() REQUIRES(mu_);
+  // Picks the unpaired events past the grace period and counts them.
+  Repairs PlanReclaim() REQUIRES(mu_);
+  void ProcessDangling(const std::vector<Dangling>& work) EXCLUDES(mu_);
   void DeleteAttrEverywhere(InodeId id);
 
   Cfs* fs_;  // tsa-coverage: allow(immutable after construction)
@@ -75,9 +88,9 @@ class GarbageCollector {
   Mutex cv_mu_{"gc.wake", 84};
   CondVar cv_;
 
-  // Held across a whole collection pass, which reads every shard's raft
-  // feed and issues repair writes — gc.scan is therefore the outermost
-  // ranked lock in the process.
+  // Held while a pass reads every shard's raft feed and plans its repairs
+  // (the outermost ranked lock in the process), released before the
+  // repair writes so ReportDangling never waits out a raft commit.
   mutable Mutex mu_{"gc.scan", 10};
   std::vector<uint64_t> tafdb_cursor_ GUARDED_BY(mu_);
   std::vector<uint64_t> filestore_cursor_ GUARDED_BY(mu_);
@@ -88,11 +101,6 @@ class GarbageCollector {
   // only needs to cover the grace window; cleared opportunistically).
   std::set<InodeId> attr_deleted_ GUARDED_BY(mu_);
   std::set<InodeId> linked_ GUARDED_BY(mu_);
-  struct Dangling {
-    InodeId parent;
-    std::string name;
-    InodeId id;
-  };
   std::vector<Dangling> dangling_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
 };

@@ -10,10 +10,9 @@ namespace cfs {
 namespace {
 
 thread_local uint64_t t_hops = 0;
-
-uint64_t EdgeKey(NodeId from, NodeId to) {
-  return (static_cast<uint64_t>(from) << 32) | to;
-}
+// Nonzero inside SimNet::CallDetached: the thread's held locks are not
+// charged with the call.
+thread_local int t_detached = 0;
 
 thread_local uint64_t t_rng_state =
     0x9e3779b97f4a7c15ULL ^
@@ -49,6 +48,7 @@ NodeId SimNet::AddNode(std::string name, uint32_t server) {
   nodes_[id].trace_node =
       trace::TraceCollector::Global().InternNode(nodes_[id].name);
   nodes_[id].calls = std::make_unique<std::atomic<uint64_t>>(0);
+  nodes_[id].edges = std::make_unique<EdgeTable>();
   // Publish: concurrent readers (raft replicators mid-call while a client
   // node registers) only dereference slots below num_nodes_.
   num_nodes_.store(id + 1, std::memory_order_release);
@@ -123,7 +123,10 @@ Status SimNet::CheckDelivery(NodeId from, NodeId to) {
   // with the fault-check lock above already released — simnet.node itself
   // is a never-across-rpc class.
   if constexpr (lock_order::kTracking) {
-    lock_order::OnRpcEdge(nodes_[from].name.c_str(), nodes_[to].name.c_str());
+    if (t_detached == 0) {
+      lock_order::OnRpcEdge(nodes_[from].name.c_str(),
+                            nodes_[to].name.c_str());
+    }
   }
   // Preemption point for schedule fuzzing: an RPC edge is where a task's
   // timing slides against its peers (DESIGN.md §12).
@@ -143,13 +146,19 @@ void SimNet::CountHop(NodeId from, NodeId to, int64_t injected_us) {
                     nodes_[to].trace_node, injected_us);
   }
   nodes_[to].calls->fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(edge_mu_);
-    CFS_SHARED_WRITE(edges_, edge_mu_);
-    EdgeStat& edge = edges_[EdgeKey(from, to)];
-    edge.calls++;
-    edge.injected_us += injected_us;
-  }
+  EdgeTable& table = *nodes_[from].edges;
+  MutexLock lock(table.mu);
+  CFS_SHARED_WRITE(table.to, table.mu);
+  EdgeStat& edge = table.to[to];
+  edge.calls++;
+  edge.injected_us += injected_us;
+}
+
+SimNet::Detached::Detached() : saved_hops_(t_hops) { t_detached++; }
+
+SimNet::Detached::~Detached() {
+  t_detached--;
+  t_hops = saved_hops_;
 }
 
 namespace {
@@ -238,10 +247,12 @@ uint64_t SimNet::CallsTo(NodeId node) const {
 }
 
 uint64_t SimNet::CallsBetween(NodeId from, NodeId to) const {
-  MutexLock lock(edge_mu_);
-  CFS_SHARED_READ(edges_, edge_mu_);
-  auto it = edges_.find(EdgeKey(from, to));
-  return it == edges_.end() ? 0 : it->second.calls;
+  CFS_CHECK(from < num_nodes_.load(std::memory_order_acquire));
+  const EdgeTable& table = *nodes_[from].edges;
+  MutexLock lock(table.mu);
+  CFS_SHARED_READ(table.to, table.mu);
+  auto it = table.to.find(to);
+  return it == table.to.end() ? 0 : it->second.calls;
 }
 
 int64_t SimNet::TotalInjectedLatencyUs() const {
@@ -250,11 +261,15 @@ int64_t SimNet::TotalInjectedLatencyUs() const {
 
 std::map<std::pair<NodeId, NodeId>, SimNet::EdgeStat> SimNet::EdgeStats()
     const {
-  MutexLock lock(edge_mu_);
-  CFS_SHARED_READ(edges_, edge_mu_);
   std::map<std::pair<NodeId, NodeId>, EdgeStat> out;
-  for (const auto& [key, stat] : edges_) {
-    out[{static_cast<NodeId>(key >> 32), static_cast<NodeId>(key)}] = stat;
+  size_t n = num_nodes_.load(std::memory_order_acquire);
+  for (size_t from = 0; from < n; from++) {
+    const EdgeTable& table = *nodes_[from].edges;
+    MutexLock lock(table.mu);
+    CFS_SHARED_READ(table.to, table.mu);
+    for (const auto& [to, stat] : table.to) {
+      out[{static_cast<NodeId>(from), to}] = stat;
+    }
   }
   return out;
 }
@@ -288,9 +303,11 @@ void SimNet::ResetStats() {
   size_t n = num_nodes_.load(std::memory_order_acquire);
   for (size_t i = 0; i < n; i++) {
     nodes_[i].calls->store(0);
+    EdgeTable& table = *nodes_[i].edges;
+    MutexLock lock(table.mu);
+    CFS_SHARED_WRITE(table.to, table.mu);
+    table.to.clear();
   }
-  MutexLock edge_lock(edge_mu_);
-  edges_.clear();
 }
 
 uint32_t SimNet::TraceNodeOf(NodeId node) const {

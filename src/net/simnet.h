@@ -49,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -119,6 +120,19 @@ class SimNet {
     return std::forward<Fn>(fn)();
   }
 
+  // Call for background work the calling thread carries out inline (raft's
+  // carried AppendEntries). SimNet's totals, per-node and per-edge stats
+  // count it like any call, but nothing of the calling thread's does: not
+  // its ThreadHops, not its OpTrace (kRpc, or any phase or span the handler
+  // records), not the RPC-under-lock audit of the locks it holds. The
+  // calling thread's accounts read as if a background thread had made the
+  // call.
+  template <typename Fn>
+  auto CallDetached(NodeId from, NodeId to, Fn&& fn) -> decltype(fn()) {
+    Detached detached;
+    return Call(from, to, std::forward<Fn>(fn));
+  }
+
   // One concurrent round: invokes `fn(i)` as an RPC to `dests[i]` for every
   // slot, and returns each slot's result (fn returns Status or StatusOr<T>).
   // Every destination gets its own fault check and hop/edge accounting on
@@ -168,6 +182,15 @@ class SimNet {
   void set_mode(LatencyMode mode) { options_.mode = mode; }
 
  private:
+  // One source node's outgoing edges. Each table has its own lock, so hops
+  // from different sources never contend; the readers (EdgeStats,
+  // CallsBetween, ProbeSamples) merge the tables one at a time.
+  struct EdgeTable {
+    // A leaf: never held across anything but the map update or copy.
+    mutable Mutex mu{"simnet.edge", 81};
+    std::map<NodeId, EdgeStat> to GUARDED_BY(mu);
+  };
+
   struct Node {
     std::string name;
     uint32_t server = 0;
@@ -175,6 +198,22 @@ class SimNet {
     // name, so "tafdb.shard1" is the same trace node in every run).
     uint32_t trace_node = UINT32_MAX;
     std::unique_ptr<std::atomic<uint64_t>> calls;
+    std::unique_ptr<EdgeTable> edges;  // calls from this node, by destination
+  };
+
+  // CallDetached's scope: sets the calling thread's hop count and OpTrace
+  // aside and turns off its RPC-under-lock audit; restores all three.
+  class Detached {
+   public:
+    Detached();
+    ~Detached();
+
+    Detached(const Detached&) = delete;
+    Detached& operator=(const Detached&) = delete;
+
+   private:
+    uint64_t saved_hops_;
+    DetachedOpScope op_;
   };
 
   // One round trip: CheckDelivery, then CountHop with the injected latency.
@@ -199,7 +238,8 @@ class SimNet {
   // Node table capacity. Fixed so the hot path (BeginCall) can index nodes_
   // without a lock: slots never move, a slot is fully initialized before
   // num_nodes_ publishes it (release/acquire), and published slots are
-  // immutable apart from their atomic call counter. Sized for the
+  // immutable apart from their atomic call counter and their edge table,
+  // which has its own lock. Sized for the
   // simulated-client benches: every simulated client registers a node, and
   // the Fig 10 sim sweep runs tens of thousands of them.
   static constexpr size_t kMaxNodes = 65536;
@@ -218,11 +258,6 @@ class SimNet {
   std::atomic<bool> has_faults_{false};
   std::atomic<uint64_t> total_calls_{0};
   std::atomic<int64_t> total_injected_us_{0};
-  // Edge table, keyed (from << 32) | to. Guarded separately from mu_ so
-  // edge updates never serialize against fault-set reads; never acquire
-  // another lock while holding edge_mu_ (it is a leaf, rank-enforced).
-  mutable Mutex edge_mu_{"simnet.edge", 81};
-  std::map<uint64_t, EdgeStat> edges_ GUARDED_BY(edge_mu_);
   uint64_t probe_handle_ = 0;
   // Fan-out workers, a constant: a round wider than the pool runs its
   // remaining slots on the caller.

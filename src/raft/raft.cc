@@ -72,6 +72,7 @@ void RaftNode::SetPeers(std::vector<RaftPeer> peers) {
   next_index_.assign(peers_.size(), 1);
   match_index_.assign(peers_.size(), 0);
   last_send_.assign(peers_.size(), 0);
+  carrying_.assign(peers_.size(), false);
 }
 
 Status RaftNode::Start() {
@@ -173,6 +174,11 @@ void RaftNode::Stop() {
     replicators_should_run_ = false;
     SetRoleLocked(RaftRole::kFollower);
     FailPendingLocked(Status::Unavailable("raft node stopped"));
+    // A carried call in flight still uses this node when it returns.
+    while (std::find(carrying_.begin(), carrying_.end(), true) !=
+           carrying_.end()) {
+      carry_cv_.Wait(mu_);
+    }
   }
   repl_cv_.NotifyAll();
   apply_cv_.NotifyAll();
@@ -259,6 +265,9 @@ void RaftNode::FailPendingLocked(const Status& status) {
 std::future<StatusOr<std::string>> RaftNode::Propose(std::string command) {
   std::promise<StatusOr<std::string>> promise;
   auto future = promise.get_future();
+  size_t lane = kNoLane;
+  RaftPeer peer;
+  AppendRequest carried;
   {
     MutexLock lock(mu_);
     if (!running_.load() || role_ != RaftRole::kLeader) {
@@ -268,9 +277,44 @@ std::future<StatusOr<std::string>> RaftNode::Propose(std::string command) {
     log_.push_back(LogEntry{term_, std::move(command)});
     LogIndex index = LastIndexLocked();
     pending_[index].promise = std::move(promise);
+    if (!options_.inline_replication) {
+      lane = TakeCarryLaneLocked(&carried);
+      if (lane != kNoLane) peer = peers_[lane];
+    }
   }
+  // The woken replicators write the leader's WAL append while the carried
+  // call is in flight.
   repl_cv_.NotifyAll();
+  if (lane != kNoLane) CarryAppend(lane, peer, carried);
   return future;
+}
+
+size_t RaftNode::TakeCarryLaneLocked(AppendRequest* req) {
+  size_t lane = kNoLane;
+  for (size_t i = 0; i < peers_.size(); i++) {
+    // Never carry past a compacted prefix: that peer needs the snapshot
+    // its replicator ships.
+    if (carrying_[i] || next_index_[i] <= snapshot_index_) continue;
+    if (lane == kNoLane || match_index_[i] > match_index_[lane]) lane = i;
+  }
+  if (lane == kNoLane) return lane;
+  carrying_[lane] = true;
+  BuildAppendLocked(lane, req);
+  return lane;
+}
+
+void RaftNode::CarryAppend(size_t lane, const RaftPeer& peer,
+                           const AppendRequest& req) {
+  // A down or partitioned peer fails the call at once; its replicator and
+  // the election timer take over as they would without the lane.
+  StatusOr<AppendReply> reply = net_->CallDetached(
+      net_id_, peer.net, [&]() -> StatusOr<AppendReply> {
+        return peer.node->HandleAppendEntries(req);
+      });
+  MutexLock lock(mu_);
+  carrying_[lane] = false;
+  if (running_.load() && reply.ok()) OnAppendReplyLocked(lane, req, *reply);
+  carry_cv_.NotifyAll();
 }
 
 StatusOr<std::string> RaftNode::ProposeInline(std::string command) {
@@ -536,8 +580,12 @@ void RaftNode::OnAppendReplyLocked(size_t peer_index, const AppendRequest& req,
     next_index_[peer_index] = match_index_[peer_index] + 1;
     AdvanceCommitLocked();
   } else {
+    // The hint is a log index, not an offset into log_. A carried lane and
+    // the replicator may both have a request out to this peer, so a stale
+    // rejection must not back up past what the peer has acknowledged.
     next_index_[peer_index] = std::max<LogIndex>(
-        1, std::min<LogIndex>(reply.conflict_hint, log_.size() + 1));
+        match_index_[peer_index] + 1,
+        std::min<LogIndex>(reply.conflict_hint, LastIndexLocked() + 1));
   }
 }
 
@@ -859,15 +907,19 @@ RaftGroup::RaftGroup(SimNet* net, std::string name,
 RaftGroup::~RaftGroup() { Stop(); }
 
 Status RaftGroup::Start() {
+  bool fresh = true;
   for (auto& node : nodes_) {
     CFS_RETURN_IF_ERROR(node->Start());
+    fresh = fresh && node->CurrentTerm() == 0 && node->LastLogIndex() == 0;
   }
+  // A fresh group has no history to elect over: replica 0 campaigns at
+  // once (with every peer up it wins) instead of idling through an
+  // election timeout. A recovered group elects on timeouts; inline mode
+  // has no timers and always bootstraps replica 0.
+  if (fresh || inline_) nodes_[0]->StartElection();
   if (inline_) {
-    // Deterministic bootstrap instead of timer-driven elections: replica 0
-    // campaigns immediately (every peer is up, so it wins), then one
-    // synchronous round commits and applies its term-start no-op so
+    // One synchronous round commits and applies the term-start no-op so
     // ReadBarrier passes from the first operation on.
-    nodes_[0]->StartElection();
     nodes_[0]->ReplicateRoundInline();
     return Status::Ok();
   }

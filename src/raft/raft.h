@@ -7,10 +7,20 @@
 //   - randomized-timeout leader election with term/vote persistence,
 //   - log replication with the AppendEntries consistency check and
 //     conflict-truncation,
-//   - GROUP COMMIT: all proposals that accumulate while a replication round
-//     is in flight ride the next AppendEntries batch and share one WAL
-//     fsync. This batching is what lets a single CFS metadata shard absorb
-//     highly contended single-record updates (paper §4.2) — a property the
+//   - GROUP COMMIT through carried lanes and replicators. Each peer has
+//     one carry lane and one replicator thread. A proposal takes a free
+//     lane (the most caught-up peer's) and carries that peer's
+//     AppendEntries itself, on the proposing thread, so it does not wait
+//     for a round already in flight. The request carries every
+//     unacknowledged entry, its own included, so proposals that queue
+//     behind a busy lane ride it or the replicators' next batch and share
+//     one WAL fsync. The carried send does not wait for the leader's own
+//     WAL append: the replicators the proposal woke write it meanwhile,
+//     and the leader counts toward a majority only once it is durable
+//     (Raft thesis §10.2.1). One lane per peer is a fixed bound: more
+//     carried calls per peer only convoy on the follower's raft.node.
+//     This batching is what lets a single CFS metadata shard absorb highly
+//     contended single-record updates (paper §4.2) — a property the
 //     contention benchmarks (Fig 11, Fig 12) depend on.
 //   - crash recovery by WAL replay (vote records, entries, truncate marks),
 //   - read barrier for leaders (commit-index wait) for linearizable reads.
@@ -20,9 +30,14 @@
 // affect the evaluated metadata path.
 //
 // Threading model: a RaftGroup runs one ticker thread (election timeouts)
-// shared by its replicas; each leader runs one replicator thread per peer.
-// Peer RPCs travel through SimNet and therefore pay simulated network
-// latency and observe partitions.
+// shared by its replicas; each leader runs one replicator thread per peer,
+// and proposing threads carry AppendEntries on the lanes. A fresh group
+// (every replica recovered an empty WAL) has replica 0 campaign in Start,
+// so it serves at once; a recovered group elects on timeouts. Peer RPCs
+// travel through SimNet and therefore pay simulated network latency and
+// observe partitions. A carried call goes through SimNet::CallDetached:
+// SimNet counts it, the proposing thread's accounts do not, exactly as if
+// a replicator had sent it.
 //
 // Inline replication (RaftOptions::inline_replication): for virtual-time
 // simulation there are no background threads at all — no ticker, no
@@ -178,6 +193,9 @@ class RaftNode {
 
   // Proposes a command. The future resolves with the Apply() payload once
   // the entry commits, or with kNotLeader/kAborted on leadership change.
+  // Outside inline mode the call first carries one AppendEntries round on a
+  // free lane (see the header comment), so the future is usually ready when
+  // it returns.
   std::future<StatusOr<std::string>> Propose(std::string command);
 
   // Inline-replication proposal (options_.inline_replication): appends the
@@ -192,8 +210,9 @@ class RaftNode {
   // replies. Leader only; no-op otherwise.
   void ReplicateRoundInline();
 
-  // Inline-mode bootstrap: immediately starts (and, with all peers up,
-  // wins) an election. Public for RaftGroup and partition tests.
+  // Immediately starts (and, with all peers up, wins) an election. Called
+  // by the ticker on timeouts and by RaftGroup::Start to bootstrap a fresh
+  // group; public for partition tests.
   void StartElection();
 
   // Leader read barrier: waits until this leader has applied its
@@ -259,6 +278,15 @@ class RaftNode {
       REQUIRES(mu_);
   void OnAppendReplyLocked(size_t peer_index, const AppendRequest& req,
                            const AppendReply& reply) REQUIRES(mu_);
+  // Takes the free carry lane of the most caught-up peer and builds its
+  // AppendEntries into `req`. Returns the lane (a peer index), or kNoLane
+  // when every lane is busy or its peer needs a snapshot.
+  size_t TakeCarryLaneLocked(AppendRequest* req) REQUIRES(mu_);
+  // Sends `req` on the proposing thread, applies the reply and frees the
+  // lane.
+  void CarryAppend(size_t lane, const RaftPeer& peer,
+                   const AppendRequest& req);
+  static constexpr size_t kNoLane = SIZE_MAX;
   // --- log-offset helpers (compaction); require mu_ held ---
   LogIndex LastIndexLocked() const REQUIRES(mu_) {
     return snapshot_index_ + log_.size();
@@ -290,7 +318,8 @@ class RaftNode {
 
   // Held across sm_->Apply (which may take shard/kv/wal locks) and across
   // WAL persists, so raft.node ranks below all of those; never held across
-  // a peer RPC (replicators and elections drop it around SimNet::Call).
+  // a peer RPC (replicators, carried lanes and elections drop it around
+  // the call).
   mutable Mutex mu_{"raft.node", 60};
   // Serializes PersistEntriesUpTo's WAL appends so they land, and publish
   // durable_index_, in log order. Held across the append (and its fsync),
@@ -330,6 +359,10 @@ class RaftNode {
   std::vector<LogIndex> next_index_ GUARDED_BY(mu_);   // per peer
   std::vector<LogIndex> match_index_ GUARDED_BY(mu_);  // per peer
   std::vector<MonoNanos> last_send_ GUARDED_BY(mu_);   // per peer heartbeats
+  // Per peer: a proposing thread is carrying an AppendEntries on the lane.
+  // Stop waits on carry_cv_ until no lane is busy.
+  std::vector<bool> carrying_ GUARDED_BY(mu_);
+  CondVar carry_cv_;
 
   std::map<LogIndex, Pending> pending_ GUARDED_BY(mu_);
 

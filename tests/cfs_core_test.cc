@@ -679,6 +679,56 @@ TEST_F(CfsFullTest, OnDemandGcRepairsDanglingRmdir) {
   EXPECT_GE(fs_->gc()->stats().dangling_entries_removed, 1u);
 }
 
+// A collection pass issues its repair writes after releasing gc.scan, so
+// a client's dangling report (filed from a failed GetAttr) never waits out
+// the pass's raft commits.
+TEST(CfsGcTest, ReportDanglingDoesNotWaitForRepairWrites) {
+  constexpr int64_t kFsyncUs = 50000;
+  CfsOptions options = SmallCluster(CfsFullOptions());
+  options.start_gc = false;
+  options.gc_grace_ms = 0;  // reclaim in the pass that sees the orphan
+  options.filestore.raft.wal.fsync_delay_us = kFsyncUs;
+  Cfs fs(options);
+  ASSERT_TRUE(fs.Start().ok());
+  // Two crashed creates: FileStore attributes that no dentry links.
+  std::vector<InodeId> orphans;
+  for (int i = 0; i < 2; i++) {
+    InodeId id = fs.tafdb()->id_allocator()->Next();
+    ASSERT_TRUE(fs.filestore()
+                    ->NodeFor(id)
+                    ->PutAttr(InodeRecord::MakeFileAttr(id, 1, 0644, 0, 0), "")
+                    .ok());
+    orphans.push_back(id);
+  }
+
+  Counter* mutations =
+      MetricsRegistry::Global().GetCounter("filestore.mutations");
+  uint64_t before = mutations->value();
+  std::atomic<bool> done{false};
+  std::thread pass([&fs, &done] {
+    fs.gc()->RunOnceForTest();
+    done.store(true);
+  });
+  // The first repair write has started once a FileStore mutation is
+  // proposed; each one takes at least one fsync delay to commit.
+  while (!done.load() && mutations->value() == before) {
+    std::this_thread::yield();
+  }
+  ASSERT_FALSE(done.load()) << "the pass issued no repair write";
+  auto start = std::chrono::steady_clock::now();
+  fs.gc()->ReportDangling(kRootInode, "no-such-entry", orphans[0]);
+  auto took = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - start);
+  pass.join();
+  EXPECT_LT(took.count(), kFsyncUs / 2);
+
+  for (InodeId id : orphans) {
+    EXPECT_TRUE(fs.filestore()->NodeFor(id)->GetAttr(id).status().IsNotFound());
+  }
+  EXPECT_GE(fs.gc()->stats().orphan_attrs_deleted, 2u);
+  fs.Stop();
+}
+
 TEST_F(CfsFullTest, StaleClientCacheHealsAfterExternalChange) {
   ASSERT_TRUE(client_->Mkdir("/c", 0755).ok());
   ASSERT_TRUE(client_->Create("/c/f", 0644).ok());

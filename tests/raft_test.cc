@@ -198,6 +198,71 @@ TEST(RaftTest, LeaderCountsTowardCommitOnlyAfterItsWalAppend) {
   }
 }
 
+// A proposal that arrives while a replication round is in flight carries
+// its own AppendEntries on the other peer's lane instead of queueing behind
+// that round, so it commits in about one round trip rather than two.
+TEST(RaftTest, ProposalDuringInFlightRoundCommitsInOneRoundTrip) {
+  constexpr int64_t kRttUs = 50000;
+  NetOptions net_options;
+  net_options.mode = LatencyMode::kSleep;
+  net_options.cross_node_rtt_us = kRttUs;
+  net_options.jitter_pct = 0;
+  SimNet net(net_options);
+  RaftOptions options;
+  options.election_timeout_min_ms = 1000;
+  options.election_timeout_max_ms = 2000;
+  options.heartbeat_interval_ms = 200;
+  RaftGroup group(
+      &net, "pipe", {0, 1, 2},
+      [](ReplicaId) { return std::make_unique<RecordingSm>(); }, options);
+  ASSERT_TRUE(group.Start().ok());
+  ASSERT_TRUE(group.WaitForLeader(10000).ok());
+  ASSERT_TRUE(group.Propose("warm", 10000).ok());
+
+  std::thread first([&group] {
+    EXPECT_TRUE(group.Propose("first", 10000).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::microseconds(kRttUs / 5));
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(group.Propose("second", 10000).ok());
+  auto took = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - start);
+  first.join();
+  EXPECT_LT(took.count(), kRttUs * 3 / 2);
+}
+
+// A fresh group elects replica 0 inside Start, long before any election
+// timeout. A group recovered from its WAL elects on timeouts as before: no
+// replica campaigns before its timeout.
+TEST(RaftTest, FreshGroupHasLeaderWhenStartReturns) {
+  RaftOptions options;
+  options.election_timeout_min_ms = 400;
+  options.election_timeout_max_ms = 800;
+  options.heartbeat_interval_ms = 50;
+  SimNet net;
+  RaftGroup group(
+      &net, "boot", {0, 1, 2},
+      [](ReplicaId) { return std::make_unique<RecordingSm>(); }, options);
+  ASSERT_TRUE(group.Start().ok());
+  RaftNode* leader = group.Leader();
+  ASSERT_NE(leader, nullptr);
+  EXPECT_EQ(leader->id(), 0u);
+  ASSERT_TRUE(group.Propose("before-restart").ok());
+  Term term = leader->CurrentTerm();
+
+  group.Stop();
+  auto restarted = std::chrono::steady_clock::now();
+  ASSERT_TRUE(group.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(group.Leader(), nullptr);
+  for (size_t i = 0; i < group.size(); i++) {
+    EXPECT_EQ(group.replica(i)->CurrentTerm(), term) << "replica " << i;
+  }
+  ASSERT_TRUE(group.WaitForLeader(5000).ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - restarted,
+            std::chrono::milliseconds(options.election_timeout_min_ms));
+}
+
 TEST(RaftTest, LeaderFailoverElectsNewLeaderAndServes) {
   Cluster c;
   ASSERT_TRUE(c.group->Start().ok());
@@ -482,6 +547,78 @@ TEST(RaftSnapshotTest, LaggingFollowerReceivesInstallSnapshot) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(converged);
+}
+
+// A follower that lags by fewer entries than the compaction threshold
+// catches up from a new leader by AppendEntries alone: the leader's
+// conflict back-off is in log indices, so it never drops below the
+// compacted prefix and ships a snapshot the follower does not need.
+//
+// Only the next leader compacts: the old leader never ships a snapshot, and
+// the lagging replica never takes one itself, so any snapshot index it ends
+// with came from the new leader's InstallSnapshot. No ticker runs:
+// elections happen only where the test starts them.
+TEST(RaftSnapshotTest, NewLeaderCatchesUpShortLagWithoutSnapshot) {
+  SimNet net;
+  SnapshotSm sms[3];
+  std::vector<std::unique_ptr<RaftNode>> nodes;
+  for (uint32_t i = 0; i < 3; i++) {
+    RaftOptions options = FastRaft();
+    if (i == 1) options.snapshot_threshold = 15;
+    nodes.push_back(std::make_unique<RaftNode>(
+        i, net.AddNode("lag-r" + std::to_string(i), i), &net, &sms[i],
+        options));
+  }
+  for (uint32_t i = 0; i < 3; i++) {
+    std::vector<RaftPeer> peers;
+    for (uint32_t j = 0; j < 3; j++) {
+      if (j != i) peers.push_back({j, nodes[j]->net_id(), nodes[j].get()});
+    }
+    nodes[i]->SetPeers(std::move(peers));
+    ASSERT_TRUE(nodes[i]->Start().ok());
+  }
+  RaftNode* old_leader = nodes[0].get();
+  RaftNode* new_leader = nodes[1].get();
+  RaftNode* lagger = nodes[2].get();
+  old_leader->StartElection();
+  ASSERT_TRUE(old_leader->IsLeader());
+  auto propose = [](RaftNode* leader, int i) {
+    return leader->Propose("k" + std::to_string(i % 5) + "=" +
+                           std::to_string(i))
+        .get()
+        .ok();
+  };
+  // Indices 2..35 (1 is the no-op): replica 1 snapshots near 15 and 30,
+  // and stays below its next snapshot to the end.
+  for (int i = 0; i < 34; i++) ASSERT_TRUE(propose(old_leader, i));
+  // Heartbeats carry the commit index to both followers.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (new_leader->CommitIndex() < old_leader->LastLogIndex() ||
+          lagger->CommitIndex() < old_leader->LastLogIndex())) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(lagger->CommitIndex(), old_leader->LastLogIndex());
+
+  // The lagger misses three entries; then replica 1 takes over.
+  net.SetNodeDown(lagger->net_id(), true);
+  for (int i = 34; i < 37; i++) ASSERT_TRUE(propose(old_leader, i));
+  new_leader->StartElection();
+  ASSERT_TRUE(new_leader->IsLeader());
+  ASSERT_GT(new_leader->SnapshotIndex(), 0u);
+  ASSERT_LE(new_leader->SnapshotIndex(), lagger->LastLogIndex());
+  net.SetNodeDown(lagger->net_id(), false);
+
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool converged = false;
+  while (std::chrono::steady_clock::now() < deadline && !converged) {
+    converged = sms[2].state() == sms[1].state() &&
+                sms[2].state().at("k1") == "36";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(converged);
+  EXPECT_EQ(lagger->SnapshotIndex(), 0u);
+  for (auto& node : nodes) node->Stop();
 }
 
 TEST(RaftTest, ConcurrentProposersAllSucceed) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/lock_order.h"
 #include "src/common/metrics.h"
 #include "src/net/simnet.h"
 
@@ -157,6 +158,84 @@ TEST(SimNetTest, EdgeStatsCountPerDirectedEdge) {
   net.SetNodeDown(c, true);
   (void)Ping(net, a, c);
   EXPECT_EQ(net.CallsBetween(a, c), 1u);
+}
+
+// Every source node keeps its own edge table: hops from many threads on
+// shared and distinct edges all land, and the merged views agree.
+TEST(SimNetTest, EdgeStatsExactUnderConcurrentHops) {
+  constexpr int kThreads = 8;
+  constexpr int kHops = 2000;
+  SimNet net;
+  NodeId shared_from = net.AddNode("shared-from", 0);
+  NodeId to = net.AddNode("to", 1);
+  std::vector<NodeId> own;
+  for (int t = 0; t < kThreads; t++) {
+    own.push_back(net.AddNode("own" + std::to_string(t), 2));
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kHops; i++) {
+        (void)Ping(net, shared_from, to);
+        (void)Ping(net, own[t], to);
+        (void)Ping(net, own[t], shared_from);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(net.TotalCalls(), uint64_t{3} * kThreads * kHops);
+  EXPECT_EQ(net.CallsTo(to), uint64_t{2} * kThreads * kHops);
+  EXPECT_EQ(net.CallsBetween(shared_from, to), uint64_t{kThreads} * kHops);
+  auto edges = net.EdgeStats();
+  EXPECT_EQ(edges.size(), 1u + 2u * kThreads);
+  uint64_t sum = 0;
+  for (const auto& [edge, stat] : edges) sum += stat.calls;
+  EXPECT_EQ(sum, net.TotalCalls());
+  for (int t = 0; t < kThreads; t++) {
+    EXPECT_EQ(net.CallsBetween(own[t], to), uint64_t{kHops});
+    EXPECT_EQ(edges[std::make_pair(own[t], shared_from)].calls,
+              uint64_t{kHops});
+  }
+}
+
+// A detached call counts in SimNet's stats like any call, but charges
+// nothing to the calling thread: no hop, no kRpc phase, none of the
+// handler's phases, no RPC-under-lock audit of the locks it holds.
+TEST(SimNetTest, CallDetachedChargesNothingToTheCallingThread) {
+  NetOptions options;
+  options.mode = LatencyMode::kSleep;
+  options.cross_node_rtt_us = 1000;
+  options.jitter_pct = 0;
+  SimNet net(options);
+  NodeId a = net.AddNode("a", 0);
+  NodeId b = net.AddNode("b", 1);
+  Mutex held{"simnet_test.held", 5};
+  SimNet::ResetThreadHops();
+  OpTrace::ClearPhase(Phase::kRpc);
+  OpTrace::ClearPhase(Phase::kWalFsync);
+  uint64_t violations = lock_order::TotalRpcUnderLockViolations();
+  {
+    MutexLock lock(held);
+    Status status = net.CallDetached(a, b, [] {
+      TraceSpan span(Phase::kWalFsync);
+      return Status::Ok();
+    });
+    EXPECT_TRUE(status.ok());
+  }
+  EXPECT_EQ(net.TotalCalls(), 1u);
+  EXPECT_EQ(net.CallsBetween(a, b), 1u);
+  EXPECT_EQ(net.TotalInjectedLatencyUs(), 1000);
+  EXPECT_EQ(SimNet::ThreadHops(), 0u);
+  EXPECT_EQ(OpTrace::PhaseCount(Phase::kRpc), 0u);
+  EXPECT_EQ(OpTrace::PhaseCount(Phase::kWalFsync), 0u);
+  EXPECT_EQ(lock_order::TotalRpcUnderLockViolations(), violations);
+
+  // The thread's own accounts resume afterwards.
+  (void)Ping(net, a, b);
+  EXPECT_EQ(SimNet::ThreadHops(), 1u);
+  EXPECT_EQ(OpTrace::PhaseCount(Phase::kRpc), 1u);
+  OpTrace::ClearPhase(Phase::kRpc);
 }
 
 TEST(SimNetTest, SleepModeAccumulatesInjectedLatency) {
